@@ -87,6 +87,24 @@ def farey_enumerate(q: int) -> FareySequence:
     return FareySequence(q, tuple(out))
 
 
+def farey_count(q: int) -> int:
+    """len(farey_enumerate(q)) without enumerating: (1 + sum_{2<=l<=q} phi(l)) / 2.
+
+    Each l > 2 contributes phi(l)/2 reduced numerators j <= l/2, and l = 2
+    contributes 1/2; a totient sieve costs O(q log log q).
+
+    Raises:
+        ValueError: for q < 2, as farey_enumerate does.
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    phi = list(range(q + 1))
+    for p in range(2, q + 1):
+        if phi[p] == p:  # p is prime: no smaller prime has touched it
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    return (1 + sum(phi[2:])) // 2
+
+
 def min_gap(seq: FareySequence) -> Fraction:
     """Smallest difference of consecutive fractions; at least 1/Q**2.
 

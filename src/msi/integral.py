@@ -18,22 +18,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import cos, fsum, log, pi, sin
 from typing import Union
 
 import numpy as np
 
 from .arith import FunctionTable, Rational, SupportCutoff, apply_cutoff, dirichlet_convolve_unit
-from .farey import FareySequence, delta_key, farey_enumerate, sigma_key, spaced_pair_partition
+from .farey import farey_count, farey_enumerate
 from .short_sums import FejerWindow, PrefixSums, chi_tilde_direct, fejer_short_sum, mean_value
 from .spectral import _coefficient_value, coefficient_square_sum, ramanujan_coefficient
 
 PAIR_BUDGET = 10 ** 7
+PAIR_BLOCK = 1 << 15  # oriented pairs per row block of the pair kernel
+PAIR_COUNTERS = (
+    "fractions",
+    "near_difference",
+    "far_difference",
+    "near_wrapped_sum",
+    "far_wrapped_sum",
+    "zero_weight_fractions",
+)
 
 
 class ResourceBudgetError(RuntimeError):
-    """Raised when a decomposition would enumerate too many fraction pairs."""
+    """Raised before any work when a decomposition would exceed a resource guard."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,7 @@ class DecompositionReport:
     total: float
     direct: float
     abs_gap: float
+    pairs: dict = field(compare=False)  # PAIR_COUNTERS -> int
 
 
 @dataclass(frozen=True)
@@ -157,12 +166,6 @@ def _sin_pi_float(t: float) -> float:
     if r < 0.0:
         r += 2.0
     return sin(pi * r)
-
-
-@lru_cache(maxsize=1 << 20)
-def _x_sum(alpha: Fraction, n: int) -> float:
-    """Re sum_{x~n} cos(2 pi alpha x), cached across configurations."""
-    return exp_sum_closed_form(alpha, n).real
 
 
 def _big_f(j: int, ell: int, h: int) -> float:
@@ -266,29 +269,18 @@ def diagonal_term(cfg: IntegralConfig) -> float:
 
     sum over reduced j/l, 1 < l <= Q, of R_l**2 F_h(j/l)**2 times the
     closed-form sum of cos(2 pi x j / l)**2 over x in (n, 2n].
+
+    Raises:
+        ResourceBudgetError: when the integer angle reduction would leave
+            the int64 range (see selberg_integral_decomposed).
     """
     if cfg.cutoff.mode != "fixed":
         raise ValueError("diagonal_term needs a fixed cutoff")
-    q_max = cfg.cutoff.q
-    if q_max < 2:
+    if cfg.cutoff.q < 2:
         return 0.0
-    n, h = cfg.n, cfg.h
-    r_cache: dict[int, float] = {}
-    terms = []
-    for fr in farey_enumerate(q_max):
-        ell = fr.den
-        r = r_cache.get(ell)
-        if r is None:
-            r = float(ramanujan_coefficient(cfg.g, ell, q_max))
-            r_cache[ell] = r
-        if r == 0.0:
-            continue
-        big_f = _big_f(fr.num, ell, h)
-        if big_f == 0.0:
-            continue
-        cos_sq = 0.5 * n + 0.5 * _x_sum(Fraction(2 * fr.num, ell), n)
-        terms.append(r * r * big_f * big_f * cos_sq)
-    return fsum(terms)
+    _check_int64_range(cfg)
+    num, den, r, big_f = _farey_arrays(cfg)
+    return _diagonal(num, den, r, big_f, cfg.n)
 
 
 def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> DecompositionReport:
@@ -297,47 +289,41 @@ def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> Dec
     Each oriented fraction pair (u, v), u > v, contributes
     R F(u) * R F(v) * (X(delta) + X(sigma)) with X(alpha) the closed-form
     cosine x-sum; the partition at 1/A routes the delta term to near_delta
-    or far_delta and the sigma term to near_sigma or far_sigma.
+    or far_delta and the sigma term to near_sigma or far_sigma. The
+    fractions are held as int64 num/den arrays with one weight vector,
+    shared by the diagonal and the pair sums; pairs go in bounded row
+    blocks. report.pairs counts fractions, pairs per side and mode (over
+    all oriented pairs, as spaced_pair_partition does), and fractions of
+    weight zero.
 
     Raises:
-        ResourceBudgetError: when the oriented pair count exceeds
-            PAIR_BUDGET and force is not set.
+        ResourceBudgetError: before any work, when the oriented pair count
+            exceeds PAIR_BUDGET and force is not set, or when the integer
+            angle reduction would leave the int64 range
+            (2 Q**2 (3N + 1) >= 2**63; force does not override this).
         ValueError: for power cutoffs; the per-x support restriction has no
             fixed frequency set, use the direct sweep instead.
     """
     if cfg.cutoff.mode != "fixed":
         raise ValueError("decomposition requires a fixed cutoff")
-    n, h = cfg.n, cfg.h
-    q_max = cfg.cutoff.q
-    direct = selberg_integral_direct(cfg)
-    diag = diagonal_term(cfg)
+    n, q_max = cfg.n, cfg.cutoff.q
     if q_max < 2:
-        total = diag
-        return DecompositionReport(diag, 0.0, 0.0, 0.0, 0.0, total, direct, abs(total - direct))
-    seq = farey_enumerate(q_max)
-    m = len(seq)
+        direct = selberg_integral_direct(cfg)
+        pairs = dict.fromkeys(PAIR_COUNTERS, 0)
+        return DecompositionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, direct, abs(direct), pairs)
+    _check_int64_range(cfg)
+    m = farey_count(q_max)
     pair_count = m * (m - 1) // 2
     if pair_count > PAIR_BUDGET and not force:
         raise ResourceBudgetError(
             f"{pair_count} oriented fraction pairs exceed the budget {PAIR_BUDGET}; "
             "pass force=True to run anyway"
         )
-    a_val = cfg.a_value
-    part_delta = spaced_pair_partition(seq, seq, a_val, "difference")
-    part_sigma = spaced_pair_partition(seq, seq, a_val, "wrapped_sum")
-    weights = _pair_weights(cfg, seq)
-
-    def pair_sum(pairs, key_fn) -> float:
-        return fsum(
-            weights[i] * weights[k] * _x_sum(key_fn(seq[i], seq[k]), n)
-            for i, k in pairs
-            if weights[i] != 0.0 and weights[k] != 0.0
-        )
-
-    near_delta = pair_sum(part_delta.near, delta_key)
-    far_delta = pair_sum(part_delta.far, delta_key)
-    near_sigma = pair_sum(part_sigma.near, sigma_key)
-    far_sigma = pair_sum(part_sigma.far, sigma_key)
+    num, den, r, big_f = _farey_arrays(cfg)
+    diag = _diagonal(num, den, r, big_f, n)
+    parts, pairs = _pair_sums(num, den, r * big_f, n, cfg.a_value)
+    near_delta, near_sigma, far_delta, far_sigma = parts
+    direct = selberg_integral_direct(cfg)
     total = diag + near_delta + near_sigma + far_delta + far_sigma
     return DecompositionReport(
         diagonal=diag,
@@ -348,22 +334,151 @@ def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> Dec
         total=total,
         direct=direct,
         abs_gap=abs(total - direct),
+        pairs=pairs,
     )
 
 
-def _pair_weights(cfg: IntegralConfig, seq: FareySequence) -> list[float]:
-    """R_den * F_h(num/den) per fraction, the spectral weight of each frequency."""
-    q_max = cfg.cutoff.q
-    h = cfg.h
-    r_cache: dict[int, float] = {}
-    out = []
-    for fr in seq:
-        r = r_cache.get(fr.den)
-        if r is None:
-            r = float(ramanujan_coefficient(cfg.g, fr.den, q_max))
-            r_cache[fr.den] = r
-        out.append(r * _big_f(fr.num, fr.den, h))
+def _check_int64_range(cfg: IntegralConfig) -> None:
+    """Refuse configurations whose angle reduction (p (3N+1)) mod 2r overflows int64.
+
+    Keys p < 2r <= 2 Q**2, so every product the kernel forms stays below
+    2 Q**2 (3N + 1).
+    """
+    q_max, n = cfg.cutoff.q, cfg.n
+    if 2 * q_max * q_max * (3 * n + 1) >= 2 ** 63:
+        raise ResourceBudgetError(
+            f"N={n}, Q={q_max} exceed the int64 budget of the pair kernel: "
+            "need 2*Q**2*(3N+1) < 2**63"
+        )
+
+
+def _farey_arrays(cfg: IntegralConfig) -> tuple[np.ndarray, ...]:
+    """num, den (int64), R_den and F_h(num/den) over farey_enumerate(Q).
+
+    One exact R_l per denominator, rounded once to float; the spectral
+    weight of a fraction is R_den * F_h(num/den).
+    """
+    q_max, h = cfg.cutoff.q, cfg.h
+    r = [0.0, 0.0] + [
+        float(ramanujan_coefficient(cfg.g, ell, q_max)) for ell in range(2, q_max + 1)
+    ]
+    seq = farey_enumerate(q_max)
+    m = len(seq)
+    num = np.fromiter((fr.num for fr in seq), np.int64, m)
+    den = np.fromiter((fr.den for fr in seq), np.int64, m)
+    r_den = np.fromiter((r[fr.den] for fr in seq), np.float64, m)
+    big_f = np.fromiter((_big_f(fr.num, fr.den, h) for fr in seq), np.float64, m)
+    return num, den, r_den, big_f
+
+
+def _diagonal(num: np.ndarray, den: np.ndarray, r: np.ndarray, big_f: np.ndarray, n: int) -> float:
+    keep = (r != 0.0) & (big_f != 0.0)
+    r, big_f = r[keep], big_f[keep]
+    cos_sq = 0.5 * n + 0.5 * _x_sum_array(2 * num[keep], den[keep], n)
+    return fsum((r * r * big_f * big_f * cos_sq).tolist())
+
+
+def _x_sum_array(p: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """Re sum_{x=n+1}^{2n} e(x p / r) for int64 arrays p >= 0, r >= 1.
+
+    The closed form cos(pi p (3n+1) / r) sin(pi n p / r) / sin(pi p / r)
+    (n where r | p), with each angle reduced exactly mod 2r in integers
+    before any sin/cos, as exp_sum_closed_form does for Fractions.
+    """
+    two_r = 2 * r
+    p = p % two_r
+    whole = p % r == 0
+    s_num = _sin_pi_ratio(n * p % two_r, r)
+    s_den = np.where(whole, 1.0, _sin_pi_ratio(p, r))
+    x = np.cos(pi * ((p * (3 * n + 1)) % two_r / r)) * (s_num / s_den)
+    return np.where(whole, float(n), x)
+
+
+def _sin_pi_ratio(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sin(pi t / r) for 0 <= t < 2r: the half turn t >= r only flips the sign."""
+    upper = t >= r
+    return np.where(upper, -1.0, 1.0) * np.sin(pi * (np.where(upper, t - r, t) / r))
+
+
+def _pair_sums(
+    num: np.ndarray, den: np.ndarray, w: np.ndarray, n: int, a: float
+) -> tuple[tuple[float, float, float, float], dict]:
+    """(near_delta, near_sigma, far_delta, far_sigma) and the pair counters.
+
+    Oriented pairs i > k of the ascending sequence go in row blocks of at
+    most PAIR_BLOCK pairs. Keys are p / r with r = den_i den_k and
+    p = num_i den_k -/+ num_k den_i (sigma folded to min(p, r - p), the
+    sigma_key of spaced_pair_partition). Each part carries the exact sum
+    of its blocks as a few partials, so it equals one fsum over all its
+    terms whatever the block size.
+    """
+    threshold = 1 / Fraction(a)
+    m = num.size
+    nonzero = w != 0.0
+    carry: list[list[float]] = [[], [], [], []]
+    counts = dict.fromkeys(PAIR_COUNTERS, 0)
+    counts["fractions"] = m
+    counts["zero_weight_fractions"] = int(m - np.count_nonzero(nonzero))
+    rows_per_block = max(1, PAIR_BLOCK // max(m, 1))  # row i holds i < m pairs
+    for i0 in range(0, m, rows_per_block):
+        rows = np.arange(i0, min(i0 + rows_per_block, m))
+        ii = np.repeat(rows, rows)
+        kk = np.arange(ii.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        cross_i = num[ii] * den[kk]
+        cross_k = num[kk] * den[ii]
+        r = den[ii] * den[kk]
+        dp = cross_i - cross_k
+        sp = cross_i + cross_k
+        sp = np.minimum(sp, r - sp)  # distance of u + v to the nearest integer
+        near_d = _near(dp, r, threshold)
+        near_s = _near(sp, r, threshold)
+        n_near_d = int(np.count_nonzero(near_d))
+        n_near_s = int(np.count_nonzero(near_s))
+        counts["near_difference"] += n_near_d
+        counts["far_difference"] += ii.size - n_near_d
+        counts["near_wrapped_sum"] += n_near_s
+        counts["far_wrapped_sum"] += ii.size - n_near_s
+        keep = nonzero[ii] & nonzero[kk]
+        wp = w[ii[keep]] * w[kk[keep]]
+        r = r[keep]
+        term_d = wp * _x_sum_array(dp[keep], r, n)
+        term_s = wp * _x_sum_array(sp[keep], r, n)
+        near_d, near_s = near_d[keep], near_s[keep]
+        blocks = (term_d[near_d], term_s[near_s], term_d[~near_d], term_s[~near_s])
+        for j, terms in enumerate(blocks):
+            carry[j] = _exact_partials(carry[j] + terms.tolist())
+    return tuple(fsum(c) for c in carry), counts
+
+
+def _exact_partials(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of values.
+
+    The first is fsum(values); each next one rounds what the previous
+    ones leave, until nothing does.
+    """
+    out: list[float] = []
+    s = fsum(values)
+    while s != 0.0:
+        out.append(s)
+        if not math.isfinite(s):
+            break
+        s = fsum(values + [-x for x in out])
     return out
+
+
+def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
+    """Exact key p/r <= threshold, ties NEAR.
+
+    float(p/r) and float(threshold) are correctly rounded, and rounding is
+    monotone, so only keys whose float equals the threshold's can be
+    misrouted; those few are compared as Fractions.
+    """
+    key = p / r
+    cut = float(threshold)
+    near = key < cut
+    for t in np.flatnonzero(key == cut).tolist():
+        near[t] = Fraction(int(p[t]), int(r[t])) <= threshold
+    return near
 
 
 def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartReport:

@@ -74,6 +74,11 @@ class PropertyReport:
     passed: bool
     note: str = ""
 
+    def __post_init__(self):
+        # checks may compute with numpy; keep the report JSON-serializable
+        self.max_error = float(self.max_error)
+        self.passed = bool(self.passed)
+
     def to_json(self) -> dict:
         return {
             "property": self.name,

@@ -4,6 +4,7 @@ import pytest
 
 import msi.integral as integral_mod
 from msi.cli import main
+from msi.verify import SUITES
 
 FAREY5_CSV = """num,den,value
 1,5,0.2
@@ -67,9 +68,11 @@ def test_integral_json_schema(capsys):
     payload = json.loads(out)
     assert set(payload) == {
         "config", "diagonal", "near_delta", "near_sigma",
-        "far_delta", "far_sigma", "total", "direct", "abs_gap",
+        "far_delta", "far_sigma", "total", "direct", "abs_gap", "pairs",
     }
     assert payload["abs_gap"] <= 1e-8 * (1 + payload["direct"])
+    assert payload["pairs"]["fractions"] == 5
+    assert payload["pairs"]["far_difference"] + payload["pairs"]["near_difference"] == 10
 
 
 def test_integral_csv_row(capsys):
@@ -129,12 +132,22 @@ def test_resource_budget_exit_code(capsys, monkeypatch):
     assert code == 0
 
 
-def test_verify_fast_suite(capsys, tmp_path):
+def test_int64_guard_exit_code(capsys):
+    code, _, err = run(
+        capsys, "integral", "--n", str(10 ** 18), "--h", "2", "--q", "2", "--g", "unit",
+        "--decompose", "--force",
+    )
+    assert code == 3
+    assert "int64" in err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_fast_suite(capsys, tmp_path, suite):
     report_path = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "--suite", "farey", "--fast", "--out", str(report_path))
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--fast", "--out", str(report_path))
     assert code == 0
     payload = json.loads(out)
-    assert payload["suite"] == "farey"
+    assert payload["suite"] == suite
     assert payload["pass"] is True
     for prop in payload["properties"]:
         assert set(prop) == {"property", "instances", "max_error", "pass"}

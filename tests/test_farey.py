@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msi.farey import (
     FareyFraction,
     delta_key,
+    farey_count,
     farey_enumerate,
     farey_full,
     min_gap,
@@ -150,6 +151,13 @@ class TestPartition:
             assert delta_key(seq[i], seq[k]) <= thr
         for i, k in part.far:
             assert delta_key(seq[i], seq[k]) > thr
+
+
+def test_farey_count_matches_enumeration():
+    for q in range(2, 90):
+        assert farey_count(q) == len(farey_enumerate(q))
+    with pytest.raises(ValueError):
+        farey_count(1)
 
 
 def test_sorted_index_spacing_literal():

@@ -12,6 +12,7 @@ from msi.arith import (
     preset_table,
     random_rational_table,
 )
+from msi.farey import delta_key, farey_enumerate, sigma_key, spaced_pair_partition
 from msi.integral import (
     IntegralConfig,
     ResourceBudgetError,
@@ -23,6 +24,7 @@ from msi.integral import (
     selberg_integral_direct,
 )
 from msi.short_sums import FejerWindow, mean_value
+from msi.spectral import fejer_kernel_value, ramanujan_coefficient
 
 
 def brute_direct(g, n, h):
@@ -36,6 +38,15 @@ def brute_direct(g, n, h):
         )
         total += (short - mean_value(g, x, w)) ** 2
     return total
+
+
+def forbid_work(monkeypatch):
+    """Make the direct sweep and the Farey enumeration fail if a guard lets them run."""
+    def untouchable(*args, **kwargs):
+        raise AssertionError("work started before the guard")
+
+    monkeypatch.setattr(integral_mod, "selberg_integral_direct", untouchable)
+    monkeypatch.setattr(integral_mod, "farey_enumerate", untouchable)
 
 
 class TestConfig:
@@ -177,8 +188,6 @@ class TestDiagonal:
         cfg = IntegralConfig(n=6, h=2, g=g, cutoff=SupportCutoff.fixed(3))
         got = diagonal_term(cfg)
         acc = 0.0
-        from msi.spectral import fejer_kernel_value, ramanujan_coefficient
-
         for ell in (2, 3):
             r = float(ramanujan_coefficient(g, ell, 3))
             for j in range(1, ell // 2 + 1):
@@ -242,6 +251,140 @@ class TestDecomposition:
         cfg = IntegralConfig(n=16, h=2, g=preset_table("unit", 4), cutoff=SupportCutoff.power(0.5))
         with pytest.raises(ValueError):
             selberg_integral_decomposed(cfg)
+
+    def test_int64_guard_before_any_work(self, monkeypatch):
+        # 2 Q^2 (3N + 1) >= 2^63: refused before the sweep (O(N)) or any enumeration
+        forbid_work(monkeypatch)
+        cfg = IntegralConfig(n=10 ** 18, h=2, g=preset_table("unit", 2), cutoff=SupportCutoff.fixed(2))
+        for call in (
+            lambda: selberg_integral_decomposed(cfg),
+            lambda: selberg_integral_decomposed(cfg, force=True),
+            lambda: diagonal_term(cfg),
+        ):
+            with pytest.raises(ResourceBudgetError, match="int64"):
+                call()
+
+    def test_pair_budget_before_any_work(self, monkeypatch):
+        forbid_work(monkeypatch)
+        cfg = IntegralConfig(n=10 ** 6, h=2, g=preset_table("unit", 2000), cutoff=SupportCutoff.fixed(2000))
+        with pytest.raises(ResourceBudgetError, match=r"\d+ oriented fraction pairs"):
+            selberg_integral_decomposed(cfg)
+
+    def test_pair_counts_of_the_decompose_config(self):
+        g = preset_table("mobius", 48)
+        cfg = IntegralConfig(n=5000, h=16, g=g, cutoff=SupportCutoff.fixed(48))
+        rep = selberg_integral_decomposed(cfg)
+        seq = farey_enumerate(48)
+        zero = sum(
+            1 for fr in seq
+            if ramanujan_coefficient(g, fr.den, 48) == 0 or fr.num * 16 % fr.den == 0
+        )
+        assert rep.pairs == {
+            "fractions": 356,
+            "near_difference": 0,
+            "far_difference": 63190,
+            "near_wrapped_sum": 0,
+            "far_wrapped_sum": 63190,
+            "zero_weight_fractions": zero,
+        }
+        assert all(type(v) is int for v in rep.pairs.values())
+        assert rep.abs_gap <= 1e-6 * (1 + rep.direct)
+
+
+def reference_parts(cfg):
+    """Pure-Python oracle: spaced_pair_partition + exp_sum_closed_form, one fsum per part.
+
+    Returns (diagonal, near_delta, near_sigma, far_delta, far_sigma, pair counts).
+    """
+    q, n, h = cfg.cutoff.q, cfg.n, cfg.h
+    seq = farey_enumerate(q)
+    weights = [
+        float(ramanujan_coefficient(cfg.g, fr.den, q)) * fejer_kernel_value(fr.value, FejerWindow(h))
+        for fr in seq
+    ]
+    diag = math.fsum(
+        w * w * (0.5 * n + 0.5 * exp_sum_closed_form(2 * fr.value, n).real)
+        for fr, w in zip(seq, weights)
+        if w != 0.0
+    )
+
+    def pair_sum(pairs, key_fn):
+        return math.fsum(
+            weights[i] * weights[k] * exp_sum_closed_form(key_fn(seq[i], seq[k]), n).real
+            for i, k in pairs
+            if weights[i] != 0.0 and weights[k] != 0.0
+        )
+
+    part_d = spaced_pair_partition(seq, seq, cfg.a_value, "difference")
+    part_s = spaced_pair_partition(seq, seq, cfg.a_value, "wrapped_sum")
+    counts = {
+        "fractions": len(seq),
+        "near_difference": len(part_d.near),
+        "far_difference": len(part_d.far),
+        "near_wrapped_sum": len(part_s.near),
+        "far_wrapped_sum": len(part_s.far),
+        "zero_weight_fractions": weights.count(0.0),
+    }
+    return (
+        diag,
+        pair_sum(part_d.near, delta_key),
+        pair_sum(part_s.near, sigma_key),
+        pair_sum(part_d.far, delta_key),
+        pair_sum(part_s.far, sigma_key),
+        counts,
+    )
+
+
+def assert_matches_reference(cfg):
+    rep = selberg_integral_decomposed(cfg)
+    *want, counts = reference_parts(cfg)
+    got = (rep.diagonal, rep.near_delta, rep.near_sigma, rep.far_delta, rep.far_sigma)
+    for g_val, w_val in zip(got, want):
+        assert math.isclose(g_val, w_val, rel_tol=1e-12, abs_tol=0.0), (cfg, got, want)
+    assert rep.pairs == counts
+    return rep
+
+
+class TestPairKernelOracle:
+    def test_configs_with_near_pairs(self):
+        near = {"near_difference": 0, "near_wrapped_sum": 0}
+        for n in (8, 12, 17, 24, 36):
+            for q in (10, 11, 12):
+                for h in (2, 4, 8):
+                    if (h > 2 and 4 * h > n) or q > n + h:
+                        continue
+                    for g in (random_rational_table(q, seed=n * 100 + q * 10 + h), preset_table("mobius", q)):
+                        for a in (float(n), 8.0 * n, None):
+                            cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.fixed(q), a=a)
+                            rep = assert_matches_reference(cfg)
+                            for key in near:
+                                near[key] += rep.pairs[key]
+        assert near["near_difference"] > 0 and near["near_wrapped_sum"] > 0
+
+    def test_row_blocks_do_not_change_the_sums(self, monkeypatch):
+        cfg = IntegralConfig(
+            n=36, h=2, g=random_rational_table(12, seed=0), cutoff=SupportCutoff.fixed(12)
+        )
+        whole = selberg_integral_decomposed(cfg)
+        monkeypatch.setattr(integral_mod, "PAIR_BLOCK", 5)  # one row per block
+        blocked = selberg_integral_decomposed(cfg)
+        assert blocked == whole
+        assert blocked.pairs == whole.pairs
+
+    def test_exact_tie_is_near(self):
+        # 1/4 - 1/5 = 1/20 = 1/A exactly
+        cfg = IntegralConfig(n=16, h=2, g=random_rational_table(5, seed=3), cutoff=SupportCutoff.fixed(5), a=20)
+        rep = assert_matches_reference(cfg)
+        assert rep.pairs["near_difference"] == 1
+        assert rep.near_delta != 0.0
+
+    def test_float_ties_are_settled_exactly(self):
+        # float(1/A) == float(1/7) in both cases; exactly 1/A < 1/7 for the first A, = for the second,
+        # and float(1/A) == float(1/13) with 1/A > 1/13 exactly for the third
+        for a, q in ((math.nextafter(7.0, 8.0), 7), (7.0, 7), (math.nextafter(13.0, 12.0), 13)):
+            cfg = IntegralConfig(n=60, h=2, g=random_rational_table(q, seed=q), cutoff=SupportCutoff.fixed(q), a=a)
+            assert float(1 / Fraction(a)) in (1 / 7, 1 / 13)
+            assert_matches_reference(cfg)
 
 
 class TestFarPartReport:
