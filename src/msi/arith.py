@@ -7,8 +7,7 @@ Provides:
 - f = g*1 (Dirichlet convolution with unit) and its Mobius inversion
 - support cutoffs, fixed [1, Q] or growing [1, floor((x+h)**theta)]
 
-All table arithmetic is exact (Python ints and fractions.Fraction); the
-float64 view exists for the large-scale numpy sweeps downstream.
+All table arithmetic is exact (Python ints and fractions.Fraction).
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ class FunctionTable:
     """Arithmetic function tabulated exactly on [1, max_n].
 
     `values` holds exact rationals (int or Fraction), values[k] = f(k+1).
-    `float_view` is the round-to-nearest binary64 image as a numpy array of
-    length max_n + 1, padded with 0.0 at index 0 so float_view[n] = f(n).
     Tables are immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("max_n", "values", "_float_view")
+    __slots__ = ("max_n", "values")
 
     def __init__(self, values: Sequence[Rational]):
         vals = tuple(values)
@@ -43,7 +40,6 @@ class FunctionTable:
             raise ValueError("a FunctionTable needs max_n >= 1 values")
         self.max_n = len(vals)
         self.values = vals
-        self._float_view = None
 
     def __getitem__(self, n: int) -> Rational:
         if not 1 <= n <= self.max_n:
@@ -55,15 +51,6 @@ class FunctionTable:
         if 1 <= n <= self.max_n:
             return self.values[n - 1]
         return default
-
-    @property
-    def float_view(self) -> np.ndarray:
-        if self._float_view is None:
-            view = np.zeros(self.max_n + 1)
-            view[1:] = [float(v) for v in self.values]
-            view.flags.writeable = False
-            self._float_view = view
-        return self._float_view
 
     def scale(self, c: Rational) -> "FunctionTable":
         return FunctionTable([c * v for v in self.values])

@@ -1,18 +1,14 @@
 """Command-line front end: sieves, integrals, verification suites, sweeps.
 
 Exit codes: 0 success / all properties pass, 1 property failure,
-2 usage error, 3 resource budget exceeded. MSI_THREADS caps the number of
-worker threads used for sweep rows (default 1); rows are written in plan
-order regardless of completion order, so output is deterministic.
+2 usage error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .arith import (
@@ -228,13 +224,9 @@ def cmd_sweep(args) -> int:
 
 
 def run_sweep(plan: SweepPlan):
-    """Evaluate the plan, one majorant comparison per N, in plan order.
-
-    Rows may be computed by up to MSI_THREADS worker threads; the pure,
-    cache-backed computations give identical values for any thread count.
-    """
-
-    def one(n: int):
+    """Evaluate the plan, one majorant comparison per N, in plan order."""
+    rows = []
+    for n in plan.n_values:
         h, q, a = plan.derive(n)
         if plan.cutoff_theta is not None:
             cutoff = SupportCutoff.power(plan.cutoff_theta)
@@ -245,13 +237,8 @@ def run_sweep(plan: SweepPlan):
         g = preset_table(plan.g_spec, max(1, table_n))
         major = preset_table(plan.major_spec, max(1, table_n))
         cfg = IntegralConfig(n=n, h=h, g=g, cutoff=cutoff, a=a, g_name=plan.g_spec)
-        return (n, h, q), majorant_compare(cfg, major, plan.major_spec)
-
-    threads = max(1, int(os.environ.get("MSI_THREADS", "1")))
-    if threads == 1 or len(plan.n_values) == 1:
-        return [one(n) for n in plan.n_values]
-    with ThreadPoolExecutor(max_workers=min(threads, len(plan.n_values))) as pool:
-        return list(pool.map(one, plan.n_values))
+        rows.append(((n, h, q), majorant_compare(cfg, major, plan.major_spec)))
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,21 +1,24 @@
 """Mean square of the centered short sums over x in (N, 2N], two ways.
 
-The direct route sweeps centers with prefix sums: O(N) after tabulating
-f = g*1 up to 2N + h. The spectral route rebuilds the same quantity from
-Ramanujan coefficients, window-kernel values at Farey fractions, and
-closed-form exponential x-sums, split into diagonal, nearby (separation
-<= 1/A) and well-spaced (> 1/A) parts; their total must reconstruct the
-direct value.
+The direct route sweeps centers with cumulative sums: O(N) after
+tabulating f = g*1 over the windows' span. The spectral route rebuilds the
+same quantity from Ramanujan coefficients, window-kernel values at Farey
+fractions, and closed-form exponential x-sums, split into diagonal, nearby
+(separation <= 1/A) and well-spaced (> 1/A) parts; their total must
+reconstruct the direct value.
 
-Float sweeps use numpy (pairwise summation); the exact paths mirror them in
-rational arithmetic for oracle-scale configurations. Pure functions over
-immutable inputs throughout; parallel callers get identical results because
-every reduction has a fixed order.
+The direct sweep is one integer kernel for fixed and growing cutoffs: g is
+scaled to integers by its common denominator, the short sums are int64, and
+float and exact results differ only in the final reduction of the integer
+deviations (numpy's pairwise sum vs Python ints). Pure functions over
+immutable inputs throughout; every reduction has a fixed order, so reruns
+give identical results.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, fsum, log, pi, sin
@@ -23,12 +26,13 @@ from typing import Union
 
 import numpy as np
 
-from .arith import FunctionTable, Rational, SupportCutoff, apply_cutoff, dirichlet_convolve_unit
+from .arith import FunctionTable, Rational, SupportCutoff
 from .farey import farey_count, farey_enumerate
-from .short_sums import FejerWindow, PrefixSums, chi_tilde_direct, fejer_short_sum, mean_value
+from .short_sums import FejerWindow
 from .spectral import _coefficient_value, coefficient_square_sum, ramanujan_coefficient
 
 PAIR_BUDGET = 10 ** 7
+MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
 PAIR_BLOCK = 1 << 15  # oriented pairs per row block of the pair kernel
 PAIR_COUNTERS = (
     "fractions",
@@ -173,95 +177,112 @@ def _big_f(j: int, ell: int, h: int) -> float:
     return ell * _coefficient_value(j, ell, h)
 
 
-def _f_float(g: FunctionTable, q_max: int, max_n: int) -> np.ndarray:
-    """float64 tabulation of (g restricted to [1, q_max]) * 1 on [0, max_n]."""
-    f = np.zeros(max_n + 1)
-    gv = g.float_view
-    for q in range(1, min(q_max, g.max_n) + 1):
-        v = gv[q]
-        if v:
-            f[q::q] += v
-    return f
-
-
-def _sweep_float(f: np.ndarray, n: int, h: int, mean: float) -> float:
-    """sum over x in (n, 2n] of (triangular short sum of f at x - mean)**2."""
-    p0 = np.cumsum(f)
-    p1 = np.cumsum(f * np.arange(f.size, dtype=np.float64))
-    xs = np.arange(n + 1, 2 * n + 1)
-    short = (
-        (1.0 - xs / h) * (p0[xs] - p0[xs - h - 1])
-        + (p1[xs] - p1[xs - h - 1]) / h
-        + (1.0 + xs / h) * (p0[xs + h] - p0[xs])
-        - (p1[xs + h] - p1[xs]) / h
-    )
-    dev = short - mean
-    return float(np.sum(dev * dev))
-
-
 def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[float, Rational]:
     """Mean square of (short sum - expected value) over x in (n, 2n].
 
-    Fixed cutoff: one tabulation of f = g*1 up to 2n + h, then an O(n)
-    prefix-sum sweep (the expected value is constant across the sweep since
-    Q <= n + h < x + h). Power cutoff: g is re-cut per center at
-    Q(x + h), evaluated through the centered multiple counts; identical to
-    cutting g, retabulating f and subtracting the per-x expected value.
+    One integer kernel serves both cutoffs and both modes. g on
+    [1, min(Q(2n + h), g.max_n)] is scaled by its common denominator D
+    (the mean square of D g is D**2 times that of g), so f D and
+    A(x) = h D S(x) are integers: A is a box sum of box sums of f D, two
+    int64 cumulative sums over the centers' window. The expected value
+    h D M(x) is c = h**2 sum_{d <= Q} g(d) D / d, split into round(c) and
+    c - round(c) without forming lcm(1, ..., Q). A power cutoff tabulates
+    f at Q0 = Q(n + h + 1), then for each q in (Q0, Q(2n + h)] with
+    g(q) != 0 adds g(q) D times the q-periodic table of h times the
+    weighted count of multiples of q, from the first center whose support
+    reaches q on; centers with one support bound share one c.
 
-    exact=True runs the whole computation in rational arithmetic (oracle
-    scale); the default float path uses numpy with pairwise summation.
+    Only the last reduction depends on exact. The default sums
+    ((A - round(c)) - (c - round(c)))**2 in float64 with numpy's pairwise
+    sum; exact=True sums the same integer deviations in Python ints, with
+    c - round(c) as a Fraction, and returns a Fraction. Both divide by
+    (h D)**2.
+
+    Raises:
+        ResourceBudgetError: before any tabulation, when
+            (2n + 2h) h D sum|g| >= 2**63, the bound on every int64 value
+            the kernel forms.
     """
-    n, h = cfg.n, cfg.h
-    w = cfg.window
-    if cfg.cutoff.mode == "fixed":
-        q_max = cfg.cutoff.q
-        if not exact:
-            f = _f_float(cfg.g, q_max, 2 * n + h)
-            gv = cfg.g.float_view
-            mean = h * fsum(
-                gv[d] / d for d in range(1, min(q_max, cfg.g.max_n) + 1)
-            )
-            return _sweep_float(f, n, h, mean)
-        g_eff = apply_cutoff(cfg.g, cfg.cutoff, n, h)
-        f_exact = dirichlet_convolve_unit(g_eff, 2 * n + h)
-        sums = PrefixSums(f_exact)
-        total: Rational = Fraction(0)
-        for x in range(n + 1, 2 * n + 1):
-            dev = fejer_short_sum(f_exact, x, w, sums) - mean_value(g_eff, x, w)
-            total += dev * dev
-        return total
-    # power cutoff: accumulate g(q) * chi_tilde_q(x) over q <= Q(x + h)
+    n, h, cutoff = cfg.n, cfg.h, cfg.cutoff
+    q_top = min(cutoff.limit(2 * n + h), cfg.g.max_n)
+    q0 = min(cutoff.limit(n + h + 1), q_top)
+    vals = cfg.g.values[:q_top]
+    den = math.lcm(*(v.denominator for v in vals))
+    gd = [0] + [v.numerator * (den // v.denominator) for v in vals]
+    if (2 * n + 2 * h) * h * sum(map(abs, gd)) >= 2 ** 63:
+        raise ResourceBudgetError(
+            f"N={n}, h={h} and g (common denominator {den}) exceed the int64 range "
+            "of the direct sweep: need (2N + 2h) h D sum|g| < 2**63"
+        )
+    a = _short_sums(gd, q0, n, h)
+    segments = [(0, q0)]  # (first center index, support bound of its centers)
+    centers = range(n + 1, 2 * n + 1)
+    for q in range(q0 + 1, q_top + 1):
+        if gd[q]:
+            start = bisect_left(centers, q, key=lambda x: cutoff.limit(x + h))
+            a[start:] += gd[q] * _multiple_counts(q, h)[np.arange(start + n + 1, 2 * n + 1) % q]
+            segments.append((start, q))
+    # c = h**2 sum_{d <= q} gd[d] / d per segment, as the integer sum of w plus the sum of
+    # s / d with (w, s) = divmod(h**2 gd[d], d): linear in q, no lcm(1, ..., q). The fraction
+    # is a Fraction when exact, else MEAN_BITS fixed point, off by less than q / 2**MEAN_BITS.
+    whole = fixed = d0 = 0
+    frac, total = Fraction(0), Fraction(0)
+    dev = None if exact else np.empty(n)
+    ends = [s for s, _ in segments[1:]] + [n]
+    for (start, q), end in zip(segments, ends):
+        for d in range(d0 + 1, q + 1):
+            if gd[d]:
+                w, s = divmod(h * h * gd[d], d)
+                whole += w
+                if exact:
+                    frac += Fraction(s, d)
+                else:
+                    fixed += (s << MEAN_BITS) // d
+        d0 = q
+        seg = a[start:end]
+        if exact:
+            r = round(whole + frac)
+            e = whole + frac - r
+            seg -= r
+            v = seg.tolist()
+            total += sum(t * t for t in v) - 2 * e * sum(v) + len(v) * e * e
+        else:
+            k = (fixed + (1 << MEAN_BITS - 1)) >> MEAN_BITS
+            seg -= whole + k
+            np.subtract(seg, (fixed - (k << MEAN_BITS)) / (1 << MEAN_BITS), out=dev[start:end])
     if exact:
-        total = Fraction(0)
-        for x in range(n + 1, 2 * n + 1):
-            qx = cfg.cutoff.limit(x + h)
-            dev = Fraction(0)
-            for q in range(1, min(qx, cfg.g.max_n) + 1):
-                gq = cfg.g[q]
-                if gq:
-                    dev += gq * chi_tilde_direct(q, x, w)
-            total += dev * dev
-        return total
-    gv = cfg.g.float_view
-    acc = 0.0
-    for x in range(n + 1, 2 * n + 1):
-        qx = cfg.cutoff.limit(x + h)
-        dev = 0.0
-        for q in range(1, min(qx, cfg.g.max_n) + 1):
-            gq = gv[q]
-            if gq:
-                dev += gq * _chi_float(q, x, h)
-        acc += dev * dev
-    return acc
+        return total / (h * den) ** 2
+    return float(np.sum(np.square(dev, out=dev))) / (h * den) ** 2
 
 
-def _chi_float(q: int, x: int, h: int) -> float:
-    m_lo = max(1, -((-(x - h)) // q))
-    m_hi = (x + h) // q
-    total = 0.0
-    for m in range(m_lo, m_hi + 1):
-        total += 1.0 - abs(q * m - x) / h
-    return total - h / q
+def _short_sums(gd: list[int], q_max: int, n: int, h: int) -> np.ndarray:
+    """A(x) = sum_{|k| < h} (h - |k|) f(x + k) for x in (n, 2n], as int64.
+
+    f(m) is the sum of gd[d] over d | m, d <= q_max, tabulated only on the
+    windows' span [n - h + 1, 2n + h - 1]. With box(y) = f(y) + ... +
+    f(y + h - 1), A(x) = box(x - h + 1) + ... + box(x), so every partial
+    sum stays below (2n + h) h sum|gd|. Both cumulative sums run in place
+    behind a leading zero, and the tabulation is freed before A is formed.
+    """
+    lo = n - h + 1
+    p = np.zeros(n + 2 * h, dtype=np.int64)  # p[1 + i] = f(lo + i)
+    for d in range(1, q_max + 1):
+        if gd[d]:
+            p[1 + (-lo) % d::d] += gd[d]
+    np.cumsum(p, out=p)
+    box = np.zeros(n + h + 1, dtype=np.int64)  # box[1 + j] = box(lo + j)
+    np.subtract(p[h:], p[:-h], out=box[1:])
+    del p
+    np.cumsum(box, out=box)
+    return box[h + 1:] - box[1:n + 1]
+
+
+def _multiple_counts(q: int, h: int) -> np.ndarray:
+    """t[x mod q] = sum of h - |qm - x| over multiples qm within h of x (x > h)."""
+    k = np.arange(1 - h, h)
+    t = np.zeros(q, dtype=np.int64)
+    np.add.at(t, -k % q, h - np.abs(k))
+    return t
 
 
 def diagonal_term(cfg: IntegralConfig) -> float:

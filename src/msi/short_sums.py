@@ -6,8 +6,8 @@ The central object is the weighted sum
 
 its equivalent double-average form (1/h) sum_{m <= h} sum_{|n-x| < m} f(n),
 and the expected value M_f(x, h) = h * sum_{d <= x+h} g(d)/d for f = g*1.
-Everything here is exact rational arithmetic; the production float sweep
-lives in msi.integral.
+Everything here is exact rational arithmetic, the reference the tests hold
+the integer sweep kernel of msi.integral to.
 
 Window centers with x <= h clamp the sum to n >= 1; the weighted counts
 chi_tilde_q are exact and q-periodic in x once x > h.

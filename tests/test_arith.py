@@ -138,12 +138,6 @@ class TestCutoffs:
 
 
 class TestFunctionTable:
-    def test_float_view_is_padded_and_rounded(self):
-        t = FunctionTable([Fraction(1, 3), 2])
-        assert t.float_view[0] == 0.0
-        assert t.float_view[1] == float(Fraction(1, 3))
-        assert t.float_view[2] == 2.0
-
     def test_index_errors(self):
         t = FunctionTable([1, 2, 3])
         with pytest.raises(IndexError):

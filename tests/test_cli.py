@@ -154,12 +154,11 @@ def test_verify_fast_suite(capsys, tmp_path, suite):
     assert json.loads(report_path.read_text()) == payload
 
 
-def test_sweep_deterministic_and_threaded(tmp_path, capsys, monkeypatch):
+def test_sweep_deterministic_rerun(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     args = ["sweep", "--n-values", "1024,2048", "--out"]
     assert main(args + [str(out1)]) == 0
-    monkeypatch.setenv("MSI_THREADS", "4")
     assert main(args + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()

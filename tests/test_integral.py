@@ -1,14 +1,18 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import msi.integral as integral_mod
 from msi.arith import (
+    FunctionTable,
     SupportCutoff,
     dirichlet_convolve_unit,
     divisors,
+    power_floor,
     preset_table,
     random_rational_table,
 )
@@ -86,14 +90,67 @@ class TestDirect:
 
     def test_float_matches_exact_on_random_configs(self):
         rng = random.Random(12)
+        configs = []
         for _ in range(8):
             n = rng.randint(8, 60)
             q = rng.randint(1, min(10, n))
             g = random_rational_table(q, seed=rng.randint(0, 999))
-            cfg = IntegralConfig(n=n, h=2, g=g, cutoff=SupportCutoff.fixed(q))
+            configs.append((n, g, SupportCutoff.fixed(q)))
+        for theta in (0.5, 0.6):
+            for _ in range(4):
+                n = rng.randint(8, 60)
+                g = random_rational_table(power_floor(2 * n + 2, theta), seed=rng.randint(0, 999))
+                configs.append((n, g, SupportCutoff.power(theta)))
+        for preset in ("mobius", "mobius-squared"):  # 2,000 terms in the mean
+            configs.append((2000, preset_table(preset, 2000), SupportCutoff.fixed(2000)))
+        for n, g, cutoff in configs:
+            cfg = IntegralConfig(n=n, h=2, g=g, cutoff=cutoff)
             ex = float(selberg_integral_direct(cfg, exact=True))
             fl = selberg_integral_direct(cfg)
-            assert math.isclose(ex, fl, rel_tol=1e-10, abs_tol=1e-12)
+            assert math.isclose(ex, fl, rel_tol=1e-14)
+
+    @pytest.mark.parametrize(
+        "preset, want", [("mobius", 1893.755055652266), ("mobius-squared", 2381.3173344089264)]
+    )
+    def test_last_bits_at_two_to_the_18(self, preset, want):
+        # correctly rounded exact values (perfbench/make_refs.py) for N = 2^18, h = 146, Q = 42
+        cfg = IntegralConfig(n=262144, h=146, g=preset_table(preset, 42), cutoff=SupportCutoff.fixed(42))
+        assert float(selberg_integral_direct(cfg, exact=True)) == want
+        assert abs(selberg_integral_direct(cfg) - want) <= 4e-16 * want
+
+    def test_large_fixed_cutoff_stays_linear(self):
+        # Q = N = 10^5: the mean must not go through lcm(1, ..., Q), about 144,000 bits
+        n, h, q = 10 ** 5, 2, 10 ** 5
+        g = preset_table("mobius", q)
+        cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.fixed(q))
+        t0 = time.perf_counter()
+        got = selberg_integral_direct(cfg)
+        elapsed = time.perf_counter() - t0
+        f = np.zeros(2 * n + h + 1)
+        for d in range(1, q + 1):
+            f[d::d] += float(g[d])
+        short = sum((1 - abs(k) / h) * f[n + 1 + k:2 * n + 1 + k] for k in range(1 - h, h))
+        mean = h * math.fsum(float(g[d]) / d for d in range(1, q + 1))
+        want = math.fsum((short - mean) ** 2)
+        assert math.isclose(got, want, rel_tol=1e-9)
+        assert elapsed < 5.0
+
+    def test_int64_guard_before_any_work(self, monkeypatch):
+        g = FunctionTable([1, Fraction(1, 10 ** 15)])  # common denominator D = 10^15
+        small = IntegralConfig(n=100, h=2, g=g, cutoff=SupportCutoff.fixed(2))
+        assert selberg_integral_direct(small, exact=True) == brute_direct(g, 100, 2)
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("work started before the guard")
+
+        monkeypatch.setattr(integral_mod.np, "cumsum", untouchable)
+        monkeypatch.setattr(integral_mod, "_short_sums", untouchable)
+        # (2N + 2h) h D sum|g| = 40008 * (10^15 + 1) >= 2^63
+        for cutoff in (SupportCutoff.fixed(2), SupportCutoff.power(0.5)):
+            cfg = IntegralConfig(n=10 ** 4, h=2, g=g, cutoff=cutoff)
+            for exact in (False, True):
+                with pytest.raises(ResourceBudgetError, match="int64"):
+                    selberg_integral_direct(cfg, exact=exact)
 
     def test_homogeneity_exact(self):
         g = random_rational_table(6, seed=77)
