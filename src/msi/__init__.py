@@ -44,7 +44,6 @@ from .integral import (
     MajorantReport,
     ResourceBudgetError,
     diagonal_term,
-    exp_sum_closed_form,
     far_part_bound_check,
     majorant_compare,
     selberg_integral_decomposed,
@@ -63,6 +62,7 @@ from .spectral import (
     RamanujanTable,
     chi_tilde_expansion,
     coefficient_square_sum,
+    exp_sum_closed_form,
     fejer_coefficient,
     fejer_kernel_value,
     ramanujan_coefficient,

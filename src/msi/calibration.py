@@ -14,6 +14,7 @@ import numpy as np
 
 from .arith import preset_table, random_rational_table
 from .integral import IntegralConfig, SupportCutoff
+from .spectral import coefficient_square_sums
 
 # Observed max of sum_j c_{j,q}**2 / min(1, h/q) over q <= 2000, even
 # h <= 200 is 2.9960 (at q = 2000, h = 2; the q >> h limit approaches 3).
@@ -25,54 +26,17 @@ SQUARE_SUM_BOUND_C = 6.0
 FAR_PART_BOUND_C = 0.26
 
 
-def square_sum_pair_arrays(q_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened (j, q) pairs for j = 1..q-1, q = 2..q_max, reduced exactly.
-
-    Returns (q_of_pair, j_reduced, q_reduced, sin2_denominator); the fold
-    j -> min(j, q - j) uses the kernel's symmetry, and gcd reduction makes
-    the angle arguments exact.
-    """
-    js = np.concatenate([np.arange(1, q) for q in range(2, q_max + 1)])
-    qs = np.concatenate([np.full(q - 1, q) for q in range(2, q_max + 1)])
-    jj = np.minimum(js, qs - js)
-    d = np.gcd(jj, qs)
-    jr = jj // d
-    qr = qs // d
-    denom = np.sin(np.pi * jr / qr) ** 2
-    return qs, jr, qr, denom
-
-
-def square_sum_table(
-    h: int,
-    q_of_pair: np.ndarray,
-    j_reduced: np.ndarray,
-    q_reduced: np.ndarray,
-    sin2_denom: np.ndarray,
-    q_max: int,
-) -> np.ndarray:
-    """sums[q] = sum over j = 1..q-1 of c_{j,q}**2, for one even h."""
-    r = (j_reduced * h) % q_reduced
-    num = np.sin(np.pi * r / q_reduced) ** 2
-    c = np.where(r == 0, 0.0, (2.0 / h) * num / sin2_denom) / q_of_pair
-    return np.bincount(q_of_pair, weights=c * c, minlength=q_max + 1)
-
-
 def square_sum_ratio_sweep(q_max: int = 2000, h_max: int = 200):
     """Worst sum/min(1, h/q) over the full (q, h) grid.
 
     Returns (max_ratio, (q, h) attaining it). SQUARE_SUM_BOUND_C is twice
     this maximum, rounded up.
     """
-    pairs = square_sum_pair_arrays(q_max)
+    hs = np.arange(2, h_max + 1, 2)
     qq = np.arange(2, q_max + 1)
-    worst, worst_at = 0.0, (0, 0)
-    for h in range(2, h_max + 1, 2):
-        sums = square_sum_table(h, *pairs, q_max)
-        ratio = sums[2:] / np.minimum(1.0, h / qq)
-        i = int(np.argmax(ratio))
-        if ratio[i] > worst:
-            worst, worst_at = float(ratio[i]), (int(qq[i]), h)
-    return worst, worst_at
+    ratio = coefficient_square_sums(q_max, hs)[:, 2:] / np.minimum(1.0, hs[:, None] / qq)
+    i, k = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    return float(ratio[i, k]), (int(qq[k]), int(hs[i]))
 
 
 def reconstruction_grid(

@@ -18,13 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Union
+
+import numpy as np
 
 PAIR_MODES = ("difference", "wrapped_sum")
 
 
-@dataclass(frozen=True)
-class FareyFraction:
+class FareyFraction(NamedTuple):
+    """A reduced fraction num/den; a plain (num, den) tuple, so immutable and hashable."""
+
     num: int
     den: int
 
@@ -65,6 +69,13 @@ def farey_full(q: int) -> list[tuple[int, int]]:
         a, b, c, d = c, d, k * c - a, k * d - b
         terms.append((c, d))
     return terms
+
+
+def farey_columns(pairs: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """num and den of (num, den) pairs (farey_full(q), a FareySequence) as int64 arrays."""
+    flat = np.fromiter(chain.from_iterable(pairs), np.int64)
+    num, den = flat.reshape(-1, 2).T.copy()
+    return num, den
 
 
 @lru_cache(maxsize=512)

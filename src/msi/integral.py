@@ -21,19 +21,19 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import cos, fsum, log, pi, sin
+from math import fsum, log
 from typing import Union
 
 import numpy as np
 
 from .arith import FunctionTable, Rational, SupportCutoff
-from .farey import farey_count, farey_enumerate
+from .farey import farey_columns, farey_count, farey_enumerate
 from .short_sums import FejerWindow
-from .spectral import _coefficient_value, coefficient_square_sum, ramanujan_coefficient
+from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficient_square_sum
 
 PAIR_BUDGET = 10 ** 7
 MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
-PAIR_BLOCK = 1 << 15  # oriented pairs per row block of the pair kernel
+PAIR_BLOCK = 1 << 13  # oriented pairs per row block; both modes' x-sums run on twice as many
 PAIR_COUNTERS = (
     "fractions",
     "near_difference",
@@ -127,54 +127,6 @@ class MajorantReport:
     n_h: float
     ratio: float
     meta: dict = field(compare=False)
-
-
-def exp_sum_closed_form(alpha: Union[float, int, Fraction], n: int) -> complex:
-    """sum_{x=n+1}^{2n} e(alpha x) via the geometric closed form.
-
-    Equals e(alpha (3n+1)/2) * sin(pi n alpha) / sin(pi alpha) for
-    non-integer alpha, and n for integer alpha. Angles are reduced mod 1
-    (exactly for Fraction input) before any sin, so large n*alpha keeps
-    full accuracy; magnitude obeys |sum| <= min(n, 1/(2 ||alpha||)).
-    """
-    if isinstance(alpha, (int, Fraction)):
-        alpha = Fraction(alpha)
-        if alpha.denominator == 1:
-            return complex(n)
-        s_num = _sin_pi_rational(n * alpha)
-        s_den = _sin_pi_rational(alpha)
-        w = _mod1_rational(alpha * (3 * n + 1) / 2)
-        angle = 2.0 * pi * float(w)
-        return complex(cos(angle), sin(angle)) * (s_num / s_den)
-    if float(alpha).is_integer():
-        return complex(n)
-    s_num = _sin_pi_float(n * alpha)
-    s_den = _sin_pi_float(alpha)
-    w = (alpha * (3 * n + 1) / 2.0) % 1.0
-    angle = 2.0 * pi * w
-    return complex(cos(angle), sin(angle)) * (s_num / s_den)
-
-
-def _mod1_rational(a: Fraction) -> Fraction:
-    return a - (a.numerator // a.denominator)
-
-
-def _sin_pi_rational(a: Fraction) -> float:
-    k = a.numerator // a.denominator
-    u = a - k
-    return (-1.0 if k % 2 else 1.0) * sin(pi * float(u))
-
-
-def _sin_pi_float(t: float) -> float:
-    r = math.fmod(t, 2.0)
-    if r < 0.0:
-        r += 2.0
-    return sin(pi * r)
-
-
-def _big_f(j: int, ell: int, h: int) -> float:
-    """Window kernel F_h(j/ell) = ell * c_{j,ell}."""
-    return ell * _coefficient_value(j, ell, h)
 
 
 def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[float, Rational]:
@@ -360,10 +312,10 @@ def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> Dec
 
 
 def _check_int64_range(cfg: IntegralConfig) -> None:
-    """Refuse configurations whose angle reduction (p (3N+1)) mod 2r overflows int64.
+    """Refuse configurations whose x-sum angles (4N + 1) p could leave int64.
 
-    Keys p < 2r <= 2 Q**2, so every product the kernel forms stays below
-    2 Q**2 (3N + 1).
+    Keys p <= r <= Q**2, so every product the kernel forms, at most
+    (4N + 1) Q**2, stays below 2 Q**2 (3N + 1).
     """
     q_max, n = cfg.cutoff.q, cfg.n
     if 2 * q_max * q_max * (3 * n + 1) >= 2 ** 63:
@@ -376,20 +328,13 @@ def _check_int64_range(cfg: IntegralConfig) -> None:
 def _farey_arrays(cfg: IntegralConfig) -> tuple[np.ndarray, ...]:
     """num, den (int64), R_den and F_h(num/den) over farey_enumerate(Q).
 
-    One exact R_l per denominator, rounded once to float; the spectral
-    weight of a fraction is R_den * F_h(num/den).
+    One exact R_l per denominator from one integer pass over g, rounded
+    once to float; the spectral weight of a fraction is R_den * F_h(num/den).
     """
-    q_max, h = cfg.cutoff.q, cfg.h
-    r = [0.0, 0.0] + [
-        float(ramanujan_coefficient(cfg.g, ell, q_max)) for ell in range(2, q_max + 1)
-    ]
-    seq = farey_enumerate(q_max)
-    m = len(seq)
-    num = np.fromiter((fr.num for fr in seq), np.int64, m)
-    den = np.fromiter((fr.den for fr in seq), np.int64, m)
-    r_den = np.fromiter((r[fr.den] for fr in seq), np.float64, m)
-    big_f = np.fromiter((_big_f(fr.num, fr.den, h) for fr in seq), np.float64, m)
-    return num, den, r_den, big_f
+    q_max = cfg.cutoff.q
+    r = np.array([0.0] + [a / b for a, b in _ramanujan_ratios(cfg.g, q_max)])
+    num, den = farey_columns(farey_enumerate(q_max))
+    return num, den, r[den], den * _coefficients(num, den, cfg.h)
 
 
 def _diagonal(num: np.ndarray, den: np.ndarray, r: np.ndarray, big_f: np.ndarray, n: int) -> float:
@@ -400,25 +345,17 @@ def _diagonal(num: np.ndarray, den: np.ndarray, r: np.ndarray, big_f: np.ndarray
 
 
 def _x_sum_array(p: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
-    """Re sum_{x=n+1}^{2n} e(x p / r) for int64 arrays p >= 0, r >= 1.
+    """Re sum_{x=n+1}^{2n} e(x p / r) for int64 arrays 0 <= p <= r (r broadcasts).
 
-    The closed form cos(pi p (3n+1) / r) sin(pi n p / r) / sin(pi p / r)
-    (n where r | p), with each angle reduced exactly mod 2r in integers
-    before any sin/cos, as exp_sum_closed_form does for Fractions.
+    The closed form (sin(pi (4n+1) p / r) - sin(pi (2n+1) p / r)) /
+    (2 sin(pi p / r)), and n where r | p (exactly where the denominator sine
+    is 0.0). Every product is at most (4n + 1) r, inside the int64 guard,
+    and _sin_pi_ratio reduces each angle exactly before any sin.
     """
-    two_r = 2 * r
-    p = p % two_r
-    whole = p % r == 0
-    s_num = _sin_pi_ratio(n * p % two_r, r)
-    s_den = np.where(whole, 1.0, _sin_pi_ratio(p, r))
-    x = np.cos(pi * ((p * (3 * n + 1)) % two_r / r)) * (s_num / s_den)
-    return np.where(whole, float(n), x)
-
-
-def _sin_pi_ratio(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sin(pi t / r) for 0 <= t < 2r: the half turn t >= r only flips the sign."""
-    upper = t >= r
-    return np.where(upper, -1.0, 1.0) * np.sin(pi * (np.where(upper, t - r, t) / r))
+    s = _sin_pi_ratio(p, r)
+    whole = s == 0.0
+    diff = _sin_pi_ratio((4 * n + 1) * p, r) - _sin_pi_ratio((2 * n + 1) * p, r)
+    return np.where(whole, float(n), diff / np.where(whole, 1.0, 2.0 * s))
 
 
 def _pair_sums(
@@ -462,8 +399,7 @@ def _pair_sums(
         keep = nonzero[ii] & nonzero[kk]
         wp = w[ii[keep]] * w[kk[keep]]
         r = r[keep]
-        term_d = wp * _x_sum_array(dp[keep], r, n)
-        term_s = wp * _x_sum_array(sp[keep], r, n)
+        term_d, term_s = wp * _x_sum_array(np.stack((dp[keep], sp[keep])), r, n)
         near_d, near_s = near_d[keep], near_s[keep]
         blocks = (term_d[near_d], term_s[near_s], term_d[~near_d], term_s[~near_s])
         for j, terms in enumerate(blocks):
@@ -519,10 +455,8 @@ def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartRep
     sq = fsum(coefficient_square_sum(ell, w, reduced_only=True) for ell in range(2, q_max + 1))
     k = len(farey_enumerate(q_max)) if q_max >= 2 else 0
     harmonic = 2.0 * fsum(1.0 / i for i in range(1, k + 1)) if k else 0.0
-    scale = max(
-        (abs(float(ramanujan_coefficient(cfg.g, ell, q_max))) * ell for ell in range(2, q_max + 1)),
-        default=0.0,
-    )
+    ratios = _ramanujan_ratios(cfg.g, q_max)[1:]  # ell >= 2
+    scale = max((abs(a / b) * ell for ell, (a, b) in enumerate(ratios, 2)), default=0.0)
     return FarPartReport(
         far_delta=rep.far_delta,
         far_sigma=rep.far_sigma,

@@ -42,15 +42,20 @@ from .arith import (
     random_rational_table,
     sieve_divisor_count,
 )
-from .farey import farey_enumerate, farey_full, min_gap, sigma_key, spaced_pair_partition
+from .farey import (
+    farey_columns,
+    farey_enumerate,
+    farey_full,
+    min_gap,
+    sigma_key,
+    spaced_pair_partition,
+)
 from .integral import (
     IntegralConfig,
-    exp_sum_closed_form,
     majorant_compare,
     selberg_integral_decomposed,
     selberg_integral_direct,
 )
-from .spectral import _coefficient_value
 from .short_sums import (
     FejerWindow,
     PrefixSums,
@@ -60,8 +65,11 @@ from .short_sums import (
     mean_value,
 )
 from .spectral import (
+    _coefficients,
     chi_tilde_expansion,
     coefficient_square_sum,
+    coefficient_square_sums,
+    exp_sum_closed_form,
     ramanujan_coefficient,
 )
 
@@ -258,23 +266,6 @@ def _chi_direct_period(q: int, h: int) -> np.ndarray:
     return vals
 
 
-def _chi_expansion_period(q: int, h: int) -> np.ndarray:
-    """chi_tilde_q on one period via the reduced-fraction expansion."""
-    vals = np.zeros(q)
-    xs = np.arange(q)
-    for ell in divisors(q):
-        if ell == 1:
-            continue
-        pref = ell / q
-        for j in range(1, ell // 2 + 1):
-            if gcd(j, ell) != 1:
-                continue
-            c = _coefficient_value(j, ell, h)
-            if c:
-                vals += (pref * c) * np.cos((2.0 * pi / ell) * ((xs * j) % ell))
-    return vals
-
-
 def check_expansion_identity(fast: bool = False) -> PropertyReport:
     """P1: expansion equals direct counts within 1e-9 * (1 + h).
 
@@ -288,7 +279,8 @@ def check_expansion_identity(fast: bool = False) -> PropertyReport:
     instances = 0
     for q in range(1, q_max + 1):
         for h in h_all:
-            diff = np.abs(_chi_expansion_period(q, h) - _chi_direct_period(q, h))
+            expansion = chi_tilde_expansion(q, np.arange(q), FejerWindow(h))
+            diff = np.abs(expansion - _chi_direct_period(q, h))
             worst = max(worst, float(diff.max()) / (1.0 + h))
             instances += 2 * q  # x in (h, h + 2q] hits each residue twice
     # tie the scalar operations to the period arrays
@@ -308,35 +300,36 @@ def check_expansion_identity(fast: bool = False) -> PropertyReport:
 def check_nonnegativity(fast: bool = False) -> PropertyReport:
     """P2: every expansion coefficient is nonnegative."""
     q_max = 100 if fast else 300
+    hs = np.array([[2], [6], [22], [64]])
     instances = failures = 0
     for q in range(2, q_max + 1):
-        for h in (2, 6, 22, 64):
-            for j in range(1, q // 2 + 1):
-                instances += 1
-                if _coefficient_value(j, q, h) < 0.0:
-                    failures += 1
+        c = _coefficients(np.arange(1, q // 2 + 1), q, hs)
+        instances += c.size
+        failures += int(np.count_nonzero(c < 0.0))
     return _exact_report("P2", instances, failures)
 
 
 def check_scaling() -> PropertyReport:
     """P3: c_{d j, d q} = c_{j,q}/d to relative 1e-12, exhaustive for d q <= 500."""
+    j, q, d = np.array(
+        [
+            (j, q, d)
+            for q in range(2, 251)
+            for j in range(1, q // 2 + 1)
+            if gcd(j, q) == 1
+            for d in range(2, 500 // q + 1)
+        ]
+    ).T
     worst = 0.0
-    instances = 0
     for h in (2, 8, 34):
-        for q in range(2, 251):
-            for j in range(1, q // 2 + 1):
-                if gcd(j, q) != 1:
-                    continue
-                base = _coefficient_value(j, q, h)
-                for d in range(2, 500 // q + 1):
-                    scaled = _coefficient_value(d * j, d * q, h)
-                    instances += 1
-                    if base == 0.0:
-                        if scaled != 0.0:
-                            worst = max(worst, 1.0)
-                        continue
-                    worst = max(worst, abs(scaled - base / d) / (base / d))
-    return PropertyReport("P3", instances, worst, worst <= 1e-12)
+        base = _coefficients(j, q, h)
+        scaled = _coefficients(d * j, d * q, h)
+        zero = base == 0.0
+        if np.any(scaled[zero] != 0.0):
+            worst = max(worst, 1.0)
+        rel = np.abs(scaled[~zero] - base[~zero] / d[~zero]) / (base[~zero] / d[~zero])
+        worst = max(worst, float(rel.max(initial=0.0)))
+    return PropertyReport("P3", 3 * j.size, worst, worst <= 1e-12)
 
 
 def check_parseval(fast: bool = False) -> PropertyReport:
@@ -361,33 +354,26 @@ def check_parseval(fast: bool = False) -> PropertyReport:
 def check_square_sum_bound(fast: bool = False) -> PropertyReport:
     """P5: full square sum <= C * min(1, h/q) with the frozen constant.
 
-    Vectorized over the whole grid; a seeded sample revalidates the
-    vectorized table against the coefficient_square_sum operation.
+    One table over the whole grid (coefficient_square_sums); a seeded
+    sample revalidates it against the coefficient_square_sum operation.
     """
     q_max = 400 if fast else 2000
     h_max = 40 if fast else 200
-    pairs = calibration.square_sum_pair_arrays(q_max)
+    hs = np.arange(2, h_max + 1, 2)
     qq = np.arange(2, q_max + 1)
     c_frozen = calibration.SQUARE_SUM_BOUND_C
-    worst = 0.0
-    instances = 0
-    tables = {}
-    for h in range(2, h_max + 1, 2):
-        sums = calibration.square_sum_table(h, *pairs, q_max)
-        tables[h] = sums
-        ratio = sums[2:] / (c_frozen * np.minimum(1.0, h / qq))
-        worst = max(worst, float(ratio.max()))
-        instances += q_max - 1
+    sums = coefficient_square_sums(q_max, hs)
+    worst = float((sums[:, 2:] / (c_frozen * np.minimum(1.0, hs[:, None] / qq))).max())
     rng = random.Random(99)
     agree = 0.0
     for _ in range(40 if fast else 160):
         q = rng.randint(2, q_max)
         h = rng.randrange(2, h_max + 1, 2)
         op = coefficient_square_sum(q, FejerWindow(h))
-        agree = max(agree, abs(op - tables[h][q]) / (1.0 + op))
+        agree = max(agree, abs(op - sums[h // 2 - 1, q]) / (1.0 + op))
     passed = worst <= 1.0 and agree <= 1e-12
     return PropertyReport(
-        "P5", instances, worst, passed, f"ratio to C*min(1,h/q), C={c_frozen}"
+        "P5", hs.size * (q_max - 1), worst, passed, f"ratio to C*min(1,h/q), C={c_frozen}"
     )
 
 
@@ -414,15 +400,21 @@ def check_ramanujan_triangle(samples: int = 100) -> PropertyReport:
 # farey suite
 # ----------------------------------------------------------------------
 
+def _cross(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """b c - a d for each consecutive pair a/b < c/d."""
+    return num[1:] * den[:-1] - num[:-1] * den[1:]
+
+
 def check_unimodularity(q_top: int = 300) -> PropertyReport:
-    """F1: consecutive ambient fractions satisfy b c - a d = 1, all Q <= q_top."""
+    """F1: consecutive ambient fractions satisfy b c - a d = 1, all Q <= q_top.
+
+    Checked per order on the int64 columns of farey_full.
+    """
     instances = failures = 0
     for q in range(1, q_top + 1):
-        seq = farey_full(q)
-        for (a, b), (c, d) in zip(seq, seq[1:]):
-            instances += 1
-            if b * c - a * d != 1:
-                failures += 1
+        num, den = farey_columns(farey_full(q))
+        instances += num.size - 1
+        failures += int(np.count_nonzero(_cross(num, den) != 1))
     return _exact_report("F1", instances, failures)
 
 
@@ -430,12 +422,10 @@ def check_gap_law(q_top: int = 300) -> PropertyReport:
     """F2: consecutive gaps equal 1/(b d) exactly (integer cross-check)."""
     instances = failures = 0
     for q in range(2, q_top + 1):
-        fr = farey_enumerate(q).fractions
-        for u, v in zip(fr, fr[1:]):
-            instances += 1
-            # v - u == 1/(den_u den_v)  <=>  unimodular cross-product
-            if v.num * u.den - u.num * v.den != 1:
-                failures += 1
+        # v - u == 1/(den_u den_v)  <=>  unimodular cross-product
+        cross = _cross(*farey_columns(farey_enumerate(q)))
+        instances += cross.size
+        failures += int(np.count_nonzero(cross != 1))
     # spot-check the Fraction arithmetic form as well
     for q in (5, 17, 120):
         fr = farey_enumerate(q).fractions
@@ -455,8 +445,8 @@ def check_min_gap(q_top: int = 300) -> PropertyReport:
     """
     instances = failures = 0
     for q in range(3, q_top + 1):
-        fr = farey_enumerate(q).fractions
-        worst_prod = max(u.den * v.den for u, v in zip(fr, fr[1:]))
+        _, den = farey_columns(farey_enumerate(q))
+        worst_prod = int((den[:-1] * den[1:]).max())
         instances += 1
         if worst_prod > q * q:
             failures += 1
@@ -493,24 +483,18 @@ def check_sorted_spacing(q_top: int = 300) -> PropertyReport:
     is checked against min_gap, which telescopes to the same statement.
     """
     instances = failures = 0
-    for q in range(3, 61):
-        fr = farey_enumerate(q).fractions
-        gd = max(u.den * v.den for u, v in zip(fr, fr[1:]))  # min_gap = 1/gd
-        for n in range(len(fr)):
-            an, bn = fr[n].num, fr[n].den
-            for m in range(n):
-                am, bm = fr[m].num, fr[m].den
-                instances += 1
-                # a_n/b_n - a_m/b_m >= (n - m)/gd, cross-multiplied
-                if (an * bm - am * bn) * gd < (n - m) * bn * bm:
-                    failures += 1
-    for q in range(61, q_top + 1):
-        fr = farey_enumerate(q).fractions
-        gd = max(u.den * v.den for u, v in zip(fr, fr[1:]))
-        for u, v in zip(fr, fr[1:]):
-            instances += 1
-            if (v.num * u.den - u.num * v.den) * gd < u.den * v.den:
-                failures += 1
+    for q in range(3, q_top + 1):
+        num, den = farey_columns(farey_enumerate(q))
+        gd = int((den[:-1] * den[1:]).max())  # min_gap = 1/gd
+        if q <= 60:
+            n, m = np.tril_indices(num.size, -1)
+        else:
+            m = np.arange(num.size - 1)
+            n = m + 1
+        instances += n.size
+        # a_n/b_n - a_m/b_m >= (n - m)/gd, cross-multiplied
+        lhs = (num[n] * den[m] - num[m] * den[n]) * gd
+        failures += int(np.count_nonzero(lhs < (n - m) * den[n] * den[m]))
     return _exact_report("F4", instances, failures)
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from msi.farey import (
     FareyFraction,
     delta_key,
+    farey_columns,
     farey_count,
     farey_enumerate,
     farey_full,
@@ -168,3 +170,19 @@ def test_sorted_index_spacing_literal():
         for n in range(len(vals)):
             for m in range(n):
                 assert vals[n] - vals[m] >= (n - m) * gap
+
+
+class TestColumns:
+    def test_columns_of_sequence_and_full(self):
+        num, den = farey_columns(farey_enumerate(7))
+        assert num.dtype == den.dtype == np.int64
+        assert list(zip(num.tolist(), den.tolist())) == [(f.num, f.den) for f in farey_enumerate(7)]
+        num, den = farey_columns(farey_full(5))
+        assert list(zip(num.tolist(), den.tolist())) == farey_full(5)
+
+    def test_fractions_are_immutable_hashable_tuples(self):
+        f = FareyFraction(2, 5)
+        assert f == (2, 5) and hash(f) == hash((2, 5))
+        assert f.value == Fraction(2, 5)
+        with pytest.raises(AttributeError):
+            f.num = 3

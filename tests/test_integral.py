@@ -21,14 +21,13 @@ from msi.integral import (
     IntegralConfig,
     ResourceBudgetError,
     diagonal_term,
-    exp_sum_closed_form,
     far_part_bound_check,
     majorant_compare,
     selberg_integral_decomposed,
     selberg_integral_direct,
 )
 from msi.short_sums import FejerWindow, mean_value
-from msi.spectral import fejer_kernel_value, ramanujan_coefficient
+from msi.spectral import exp_sum_closed_form, fejer_kernel_value, ramanujan_coefficient
 
 
 def brute_direct(g, n, h):
@@ -463,6 +462,31 @@ class TestFarPartReport:
         assert rep.ah == 33.0 * 2
         assert math.isclose(rep.ratio_to_ah, rep.far_abs / rep.ah)
         assert rep.lemma_majorant >= 0.0
+
+    def test_majorant_fields_equal_per_ell_formulas(self):
+        """The table-built fields against per-ell R_l and the scalar kernel reference."""
+        for n, h, q, g in (
+            (60, 4, 12, random_rational_table(12, seed=1)),
+            (200, 8, 30, random_rational_table(30, seed=2)),
+            (97, 2, 7, preset_table("mobius", 7)),
+        ):
+            cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.fixed(q))
+            rep = far_part_bound_check(cfg)
+            w = FejerWindow(h)
+            sq = math.fsum(
+                (fejer_kernel_value(Fraction(j, ell), w) / ell) ** 2
+                for ell in range(2, q + 1)
+                for j in range(1, ell)
+                if math.gcd(j, ell) == 1
+            )
+            scale = max(abs(float(ramanujan_coefficient(g, ell, q))) * ell for ell in range(2, q + 1))
+            k = len(farey_enumerate(q))
+            harmonic = 2.0 * math.fsum(1.0 / i for i in range(1, k + 1))
+            a = cfg.a_value
+            assert math.isclose(rep.coeff_square_sum, sq, rel_tol=1e-12)
+            assert math.isclose(rep.ramanujan_scale, scale * scale, rel_tol=1e-12)
+            assert math.isclose(rep.harmonic_factor, harmonic, rel_tol=1e-12)
+            assert math.isclose(rep.lemma_majorant, scale * scale * a * sq * harmonic, rel_tol=1e-12)
 
 
 class TestMajorantCompare:

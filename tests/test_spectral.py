@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,13 @@ from hypothesis import strategies as st
 from msi.arith import FunctionTable, preset_table, random_rational_table
 from msi.short_sums import FejerWindow, chi_tilde_direct
 from msi.spectral import (
+    _coefficients,
+    _ramanujan_ratios,
+    _sin_pi_ratio,
     chi_tilde_expansion,
     coefficient_square_sum,
+    coefficient_square_sums,
+    exp_sum_closed_form,
     fejer_coefficient,
     fejer_kernel_value,
     ramanujan_coefficient,
@@ -45,6 +52,62 @@ class TestKernelValue:
         w = FejerWindow(8)
         for _ in range(500):
             assert fejer_kernel_value(rng.uniform(1e-6, 1 - 1e-6), w) >= 0.0
+
+
+class TestArrayKernel:
+    """The array path against the scalar Fraction reference."""
+
+    def test_matches_scalar_reference(self):
+        pairs = [(j, q) for q in range(2, 201) for j in range(1, q) if math.gcd(j, q) == 1]
+        j, q = np.array(pairs).T
+        for h in (2, 8, 34, 64):
+            got = _coefficients(j, q, h)
+            want = np.array(
+                [fejer_kernel_value(Fraction(a, b), FejerWindow(h)) / b for a, b in pairs]
+            )
+            vanish = (h * j) % q == 0
+            assert np.all(got[vanish] == 0.0) and np.all(want[vanish] == 0.0)
+            assert np.all(got[~vanish] > 0.0)
+            rel = np.abs(got[~vanish] - want[~vanish]) / want[~vanish]
+            assert rel.max() <= 1e-14
+
+    def test_angle_bits_do_not_depend_on_the_representative(self):
+        rng = np.random.default_rng(3)
+        t = rng.integers(-10**6, 10**6, 5000)
+        r = rng.integers(1, 10**4, 5000)
+        base = _sin_pi_ratio(t, r)
+        for d in (2, 3, 7, 1000):
+            assert np.array_equal(_sin_pi_ratio(d * t, d * r), base)
+        assert np.all(base[t % r == 0] == 0.0)
+
+    def test_angle_helper_matches_math(self):
+        t = np.arange(-40, 41)
+        for r in (1, 2, 3, 7, 12):
+            # numpy's unreduced angles carry up to ~1e-14 of their own error
+            want = np.sin(np.pi * t / r)
+            assert np.allclose(_sin_pi_ratio(t, r), want, rtol=0, atol=1e-13)
+            cos = _sin_pi_ratio(2 * t + r, 2 * r)
+            assert np.allclose(cos, np.cos(np.pi * t / r), rtol=0, atol=1e-13)
+
+    def test_float_input_is_its_exact_fraction(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            beta = rng.uniform(-3, 3)
+            h = rng.choice((2, 6, 64))
+            assert fejer_kernel_value(beta, FejerWindow(h)) == fejer_kernel_value(
+                Fraction(beta), FejerWindow(h)
+            )
+            n = rng.randint(1, 10**6)
+            assert exp_sum_closed_form(beta, n) == exp_sum_closed_form(Fraction(beta), n)
+
+    def test_square_sum_table_matches_operation(self):
+        hs = (2, 4, 10, 36)
+        table = coefficient_square_sums(90, hs)
+        assert np.all(table[:, :2] == 0.0)
+        for i, h in enumerate(hs):
+            for q in range(2, 91):
+                op = coefficient_square_sum(q, FejerWindow(h))
+                assert abs(table[i, q] - op) <= 1e-14 * op
 
 
 class TestFejerCoefficient:
@@ -106,6 +169,17 @@ class TestChiExpansion:
         assert abs(e - d) <= 1e-9 * (1 + h)
 
 
+    def test_array_x_equals_scalar_calls(self):
+        rng = random.Random(17)
+        for q in (1, 2, 7, 12, 60, 97):
+            for h in (2, 10):
+                w = FejerWindow(h)
+                xs = [rng.randint(-10**12, 10**12) for _ in range(20)] + list(range(2 * q))
+                got = chi_tilde_expansion(q, np.array(xs), w)
+                assert got.shape == (len(xs),)
+                assert [float(v) for v in got] == [chi_tilde_expansion(q, x, w) for x in xs]
+
+
 class TestCoefficientSquareSum:
     def test_q2_vanishes(self):
         for h in (2, 10):
@@ -163,6 +237,25 @@ class TestRamanujan:
             assert table[ell] == ramanujan_coefficient(g, ell, 12)
         with pytest.raises(IndexError):
             table[13]
+
+    @pytest.mark.parametrize("q_max", [12, 48, 97])
+    def test_table_equals_per_ell_reference(self, q_max):
+        rng = random.Random(q_max)
+        mixed = FunctionTable(
+            [Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(q_max)]
+        )
+        tables = [
+            random_rational_table(q_max, seed=q_max),
+            mixed,
+            random_rational_table(q_max // 3, seed=1),  # shorter than Q
+            preset_table("mobius", q_max),
+            FunctionTable([0] * q_max),
+        ]
+        for g in tables:
+            want = [ramanujan_coefficient(g, ell, q_max) for ell in range(1, q_max + 1)]
+            assert ramanujan_table(g, q_max).values == tuple(want)
+            # the decomposition's float weights: unreduced int division, correctly rounded
+            assert [a / b for a, b in _ramanujan_ratios(g, q_max)] == [float(v) for v in want]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 40))
