@@ -1,18 +1,19 @@
 """Mean square of the centered short sums over x in (N, 2N], two ways.
 
-The direct route sweeps centers with cumulative sums: O(N) after
-tabulating f = g*1 over the windows' span. The spectral route rebuilds the
-same quantity from Ramanujan coefficients, window-kernel values at Farey
-fractions, and closed-form exponential x-sums, split into diagonal, nearby
-(separation <= 1/A) and well-spaced (> 1/A) parts; their total must
-reconstruct the direct value.
+The direct route sweeps centers with cumulative sums: O(N) time and
+O(block + Q) memory, tabulating f = g*1 only over each block's span. The
+spectral route rebuilds the same quantity from Ramanujan coefficients,
+window-kernel values at Farey fractions, and closed-form exponential
+x-sums, split into diagonal, nearby (separation <= 1/A) and well-spaced
+(> 1/A) parts; their total must reconstruct the direct value.
 
 The direct sweep is one integer kernel for fixed and growing cutoffs: g is
-scaled to integers by its common denominator, the short sums are int64, and
-float and exact results differ only in the final reduction of the integer
-deviations (numpy's pairwise sum vs Python ints). Pure functions over
-immutable inputs throughout; every reduction has a fixed order, so reruns
-give identical results.
+scaled to integers by its common denominator, the short sums are int64 and
+run in cache-sized blocks of centers, and float and exact results differ
+only in the final reduction of the integer deviations (numpy's pairwise
+sum per block and one math.fsum over the blocks, vs Python ints). Pure
+functions over immutable inputs throughout; every reduction has a fixed
+order, so reruns give identical results.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficie
 PAIR_BUDGET = 10 ** 7
 MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
 PAIR_BLOCK = 1 << 13  # oriented pairs per row block; both modes' x-sums run on twice as many
+SWEEP_BLOCK = 1 << 16  # centers per block of the direct sweep, at least 16 Q0
 PAIR_COUNTERS = (
     "fractions",
     "near_difference",
@@ -144,11 +146,20 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
     weighted count of multiples of q, from the first center whose support
     reaches q on; centers with one support bound share one c.
 
+    The centers run in blocks of max(SWEEP_BLOCK, 16 Q0), each tabulated,
+    summed and reduced on its own span in two int64 buffers reused by
+    every block, so memory is O(block + Q) at any n (plus one q-periodic
+    table per added q of a power cutoff); a block's A is the integer slice
+    the whole sweep would give. When several blocks share it, the part of
+    f D from the d dividing P = lcm(1, ..., k) is one P-periodic pattern
+    built once per call; only the other d are sieved per block.
+
     Only the last reduction depends on exact. The default sums
-    ((A - round(c)) - (c - round(c)))**2 in float64 with numpy's pairwise
-    sum; exact=True sums the same integer deviations in Python ints, with
-    c - round(c) as a Fraction, and returns a Fraction. Both divide by
-    (h D)**2.
+    ((A - round(c)) - (c - round(c)))**2 in float64, with numpy's pairwise
+    sum per block and math.fsum over the blocks in order, so a sweep of
+    one block (n <= SWEEP_BLOCK) is a single pairwise sum; exact=True sums
+    the same integer deviations in Python ints, with c - round(c) as a
+    Fraction, and returns a Fraction. Both divide by (h D)**2.
 
     Raises:
         ResourceBudgetError: before any tabulation, when
@@ -166,22 +177,61 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
             f"N={n}, h={h} and g (common denominator {den}) exceed the int64 range "
             "of the direct sweep: need (2N + 2h) h D sum|g| < 2**63"
         )
-    a = _short_sums(gd, q0, n, h)
-    segments = [(0, q0)]  # (first center index, support bound of its centers)
+    block = min(max(SWEEP_BLOCK, 16 * q0), n)
+    plan = _periodic_part(gd, q0, block + 2 * h - 1, shared=block < n)
+    tables = []  # (first center index, q, g(q) D times q's multiple counts)
     centers = range(n + 1, 2 * n + 1)
     for q in range(q0 + 1, q_top + 1):
         if gd[q]:
             start = bisect_left(centers, q, key=lambda x: cutoff.limit(x + h))
-            a[start:] += gd[q] * _multiple_counts(q, h)[np.arange(start + n + 1, 2 * n + 1) % q]
-            segments.append((start, q))
-    # c = h**2 sum_{d <= q} gd[d] / d per segment, as the integer sum of w plus the sum of
-    # s / d with (w, s) = divmod(h**2 gd[d], d): linear in q, no lcm(1, ..., q). The fraction
-    # is a Fraction when exact, else MEAN_BITS fixed point, off by less than q / 2**MEAN_BITS.
+            tables.append((start, q, gd[q] * _multiple_counts(q, h)))
+    segments = _segment_means(gd, h, [(0, q0)] + [(s, q) for s, q, _ in tables], n, exact)
+    p = np.zeros(block + 2 * h, dtype=np.int64)  # buffers of the largest block, reused by all
+    box = np.zeros(block + h + 1, dtype=np.int64)
+    dev = box[1:].view(np.float64)  # box is dead once A is formed; its leading zero stays
+    sums, total = [], Fraction(0)
+    for c0 in range(0, n, block):
+        b = min(block, n - c0)
+        a = _short_sums(gd, plan, n + c0, h, p[:b + 2 * h], box[:b + h + 1])
+        for start, q, t in tables:
+            s = max(start - c0, 0)
+            if s < b:
+                _add_periodic(a[s:], t, (n + c0 + s + 1) % q)
+        for start, end, r, e in segments:
+            lo, hi = max(start - c0, 0), min(end - c0, b)
+            if lo >= hi:
+                continue
+            seg = a[lo:hi]
+            seg -= r
+            if exact:
+                v = seg.tolist()
+                total += sum(t * t for t in v) - 2 * e * sum(v) + len(v) * e * e
+            else:
+                piece = dev[lo:hi]
+                piece[...] = seg  # cast apart from the subtraction: no cast buffer
+                piece -= e
+        if not exact:
+            sums.append(float(np.add.reduce(np.square(dev[:b], out=dev[:b]))))
+    if exact:
+        return total / (h * den) ** 2
+    return fsum(sums) / (h * den) ** 2
+
+
+def _segment_means(
+    gd: list[int], h: int, bounds: list[tuple[int, int]], n: int, exact: bool
+) -> list:
+    """(start, end, round(c), c - round(c)) per run of centers with one support bound.
+
+    bounds holds (first center index, support bound q) in order. c = h**2 sum_{d <= q}
+    gd[d] / d is the integer sum of w plus the sum of s / d with (w, s) = divmod(h**2 gd[d], d):
+    linear in q, no lcm(1, ..., q). The fraction is a Fraction when exact, else MEAN_BITS
+    fixed point, off by less than q / 2**MEAN_BITS before its rounding to float.
+    """
     whole = fixed = d0 = 0
-    frac, total = Fraction(0), Fraction(0)
-    dev = None if exact else np.empty(n)
-    ends = [s for s, _ in segments[1:]] + [n]
-    for (start, q), end in zip(segments, ends):
+    frac = Fraction(0)
+    out = []
+    ends = [s for s, _ in bounds[1:]] + [n]
+    for (start, q), end in zip(bounds, ends):
         for d in range(d0 + 1, q + 1):
             if gd[d]:
                 w, s = divmod(h * h * gd[d], d)
@@ -191,42 +241,77 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
                 else:
                     fixed += (s << MEAN_BITS) // d
         d0 = q
-        seg = a[start:end]
         if exact:
             r = round(whole + frac)
-            e = whole + frac - r
-            seg -= r
-            v = seg.tolist()
-            total += sum(t * t for t in v) - 2 * e * sum(v) + len(v) * e * e
+            out.append((start, end, r, whole + frac - r))
         else:
             k = (fixed + (1 << MEAN_BITS - 1)) >> MEAN_BITS
-            seg -= whole + k
-            np.subtract(seg, (fixed - (k << MEAN_BITS)) / (1 << MEAN_BITS), out=dev[start:end])
-    if exact:
-        return total / (h * den) ** 2
-    return float(np.sum(np.square(dev, out=dev))) / (h * den) ** 2
+            out.append((start, end, whole + k, (fixed - (k << MEAN_BITS)) / (1 << MEAN_BITS)))
+    return out
 
 
-def _short_sums(gd: list[int], q_max: int, n: int, h: int) -> np.ndarray:
-    """A(x) = sum_{|k| < h} (h - |k|) f(x + k) for x in (n, 2n], as int64.
+def _periodic_part(
+    gd: list[int], q_max: int, span: int, shared: bool
+) -> tuple[np.ndarray | None, int, list[int]]:
+    """(pattern, P, sieve): f D's part from the d <= q_max dividing P, and the d left to sieve.
 
-    f(m) is the sum of gd[d] over d | m, d <= q_max, tabulated only on the
-    windows' span [n - h + 1, 2n + h - 1]. With box(y) = f(y) + ... +
-    f(y + h - 1), A(x) = box(x - h + 1) + ... + box(x), so every partial
-    sum stays below (2n + h) h sum|gd|. Both cumulative sums run in place
-    behind a leading zero, and the tabulation is freed before A is formed.
+    P = lcm(1, ..., k) is the largest such lcm at most span / 64 when the
+    pattern is shared by several blocks. The pattern holds that part of
+    f D at m = 0, 1, ..., P + span - 1, so a block's span starting at lo is
+    the window from lo mod P. A pattern read once saves nothing, and short
+    spans have no room for one: they get P = 1, where the pattern is the
+    constant gd[1] and is not built.
     """
-    lo = n - h + 1
-    p = np.zeros(n + 2 * h, dtype=np.int64)  # p[1 + i] = f(lo + i)
-    for d in range(1, q_max + 1):
-        if gd[d]:
-            p[1 + (-lo) % d::d] += gd[d]
-    np.cumsum(p, out=p)
-    box = np.zeros(n + h + 1, dtype=np.int64)  # box[1 + j] = box(lo + j)
-    np.subtract(p[h:], p[:-h], out=box[1:])
-    del p
-    np.cumsum(box, out=box)
-    return box[h + 1:] - box[1:n + 1]
+    period, k = 1, 2
+    while shared and math.lcm(period, k) * 64 <= span:
+        period, k = math.lcm(period, k), k + 1
+    sieve = [d for d in range(1, q_max + 1) if gd[d] and period % d]
+    if period == 1:
+        return None, 1, sieve
+    pattern = np.zeros(period + span, dtype=np.int64)
+    for d in range(1, min(period, q_max) + 1):
+        if gd[d] and not period % d:
+            pattern[::d] += gd[d]
+    return pattern, period, sieve
+
+
+def _short_sums(
+    gd: list[int], plan: tuple, x0: int, h: int, p: np.ndarray, box: np.ndarray
+) -> np.ndarray:
+    """A(x) = sum_{|k| < h} (h - |k|) f(x + k) for x in (x0, x0 + b], as int64.
+
+    b = box.size - h - 1. f(m) is the plan's periodic pattern at m plus
+    gd[d] for each d in its sieve dividing m (see _periodic_part),
+    tabulated into p (b + 2h entries) only on the block's span
+    [x0 - h + 1, x0 + b + h - 1]. With box(y) = f(y) + ... + f(y + h - 1),
+    A(x) = box(x - h + 1) + ... + box(x), so every partial sum stays below
+    (2n + h) h sum|gd|. Both cumulative sums run in place behind the
+    leading zeros p[0] and box[0], which nothing here writes, and A
+    overwrites p[1:b + 1]: p and box are the caller's buffers, reused by
+    every block.
+    """
+    pattern, period, sieve = plan
+    b, lo = box.size - h - 1, x0 - h + 1
+    if pattern is None:  # p[1 + i] = f(lo + i)
+        p[1:] = gd[1]
+    else:
+        p[1:] = pattern[lo % period:lo % period + b + 2 * h - 1]
+    for d in sieve:
+        p[1 + (-lo) % d::d] += gd[d]
+    np.add.accumulate(p, out=p)
+    np.subtract(p[h:], p[:-h], out=box[1:])  # box[1 + j] = box(lo + j)
+    np.add.accumulate(box, out=box)
+    return np.subtract(box[h + 1:], box[1:b + 1], out=p[1:b + 1])
+
+
+def _add_periodic(a: np.ndarray, t: np.ndarray, r: int) -> None:
+    """a[i] += t[(r + i) mod q] for every i, q = t.size, in place, with no index array."""
+    q = t.size
+    t = np.concatenate((t[r:], t[:r]))
+    m = a.size // q
+    rows = a[:m * q].reshape(m, q)
+    rows += t
+    a[m * q:] += t[:a.size - m * q]
 
 
 def _multiple_counts(q: int, h: int) -> np.ndarray:
@@ -340,6 +425,8 @@ def _farey_arrays(cfg: IntegralConfig) -> tuple[np.ndarray, ...]:
 def _diagonal(num: np.ndarray, den: np.ndarray, r: np.ndarray, big_f: np.ndarray, n: int) -> float:
     keep = (r != 0.0) & (big_f != 0.0)
     r, big_f = r[keep], big_f[keep]
+    if not r.size:  # Q = 2 with h even: F_h(1/2) = 0
+        return 0.0
     cos_sq = 0.5 * n + 0.5 * _x_sum_array(2 * num[keep], den[keep], n)
     return fsum((r * r * big_f * big_f * cos_sq).tolist())
 
@@ -378,7 +465,7 @@ def _pair_sums(
     counts["fractions"] = m
     counts["zero_weight_fractions"] = int(m - np.count_nonzero(nonzero))
     rows_per_block = max(1, PAIR_BLOCK // max(m, 1))  # row i holds i < m pairs
-    for i0 in range(0, m, rows_per_block):
+    for i0 in range(1, m, rows_per_block):  # row 0 holds none
         rows = np.arange(i0, min(i0 + rows_per_block, m))
         ii = np.repeat(rows, rows)
         kk = np.arange(ii.size) - np.repeat(np.cumsum(rows) - rows, rows)
@@ -453,7 +540,7 @@ def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartRep
     q_max = cfg.cutoff.q
     w = cfg.window
     sq = fsum(coefficient_square_sum(ell, w, reduced_only=True) for ell in range(2, q_max + 1))
-    k = len(farey_enumerate(q_max)) if q_max >= 2 else 0
+    k = farey_count(q_max) if q_max >= 2 else 0
     harmonic = 2.0 * fsum(1.0 / i for i in range(1, k + 1)) if k else 0.0
     ratios = _ramanujan_ratios(cfg.g, q_max)[1:]  # ell >= 2
     scale = max((abs(a / b) * ell for ell, (a, b) in enumerate(ratios, 2)), default=0.0)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,20 @@ def brute_direct(g, n, h):
             (1 - Fraction(abs(m - x), h)) * f[m] for m in range(x - h, x + h + 1)
         )
         total += (short - mean_value(g, x, w)) ** 2
+    return total
+
+
+def literal_power_direct(g, n, h, theta):
+    """Literal rational sweep for a power cutoff: per center, f and the mean cut at Q(x + h)."""
+    total = Fraction(0)
+    for x in range(n + 1, 2 * n + 1):
+        qx = power_floor(x + h, theta)
+        short = Fraction(0)
+        for m in range(x - h, x + h + 1):
+            fm = sum(g.get(d) for d in divisors(m) if d <= qx)
+            short += (1 - Fraction(abs(m - x), h)) * fm
+        mv = h * sum(Fraction(g.get(d)) / d for d in range(1, qx + 1))
+        total += (short - mv) ** 2
     return total
 
 
@@ -143,6 +158,7 @@ class TestDirect:
             raise AssertionError("work started before the guard")
 
         monkeypatch.setattr(integral_mod.np, "cumsum", untouchable)
+        monkeypatch.setattr(integral_mod, "_periodic_part", untouchable)
         monkeypatch.setattr(integral_mod, "_short_sums", untouchable)
         # (2N + 2h) h D sum|g| = 40008 * (10^15 + 1) >= 2^63
         for cutoff in (SupportCutoff.fixed(2), SupportCutoff.power(0.5)):
@@ -175,17 +191,7 @@ class TestPowerCutoff:
         g = random_rational_table(7, seed=15)
         cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.power(0.5))
         got = selberg_integral_direct(cfg, exact=True)
-        w = FejerWindow(h)
-        want = Fraction(0)
-        for x in range(n + 1, 2 * n + 1):
-            qx = math.isqrt(x + h)
-            short = Fraction(0)
-            for m in range(x - h, x + h + 1):
-                fm = sum(g.get(d) for d in divisors(m) if d <= qx)
-                short += (1 - Fraction(abs(m - x), h)) * fm
-            mv = h * sum(Fraction(g.get(d)) / d for d in range(1, qx + 1))
-            want += (short - mv) ** 2
-        assert got == want
+        assert got == literal_power_direct(g, n, h, 0.5)
         assert math.isclose(selberg_integral_direct(cfg), float(got), rel_tol=1e-10)
 
     def test_theta_one_matches_fixed_full_support(self):
@@ -198,6 +204,68 @@ class TestPowerCutoff:
             IntegralConfig(n=12, h=2, g=g, cutoff=SupportCutoff.fixed(5)), exact=True
         )
         assert pw == fx
+
+
+class TestSweepBlocks:
+    def test_fixed_blocks_do_not_change_the_sums(self, monkeypatch):
+        configs = [
+            IntegralConfig(n=300, h=4, g=random_rational_table(5, seed=8), cutoff=SupportCutoff.fixed(5)),
+            IntegralConfig(n=1000, h=4, g=preset_table("mobius-squared", 12), cutoff=SupportCutoff.fixed(12)),
+        ]
+        whole = [selberg_integral_direct(cfg, exact=True) for cfg in configs]
+        for cfg, want in zip(configs, whole):
+            assert want == brute_direct(cfg.g, cfg.n, cfg.h)
+        # SWEEP_BLOCK = 1 gives blocks of 16 Q: 80 centers (pattern period 1) and 192 (period 2);
+        # 400 gives blocks of 400 centers with period 6, the last one short
+        for size in (1, 400):
+            monkeypatch.setattr(integral_mod, "SWEEP_BLOCK", size)
+            for cfg, want in zip(configs, whole):
+                assert selberg_integral_direct(cfg, exact=True) == want
+                assert math.isclose(selberg_integral_direct(cfg), float(want), rel_tol=1e-14)
+
+    def test_power_segment_starting_on_a_block_boundary(self, monkeypatch):
+        n, h, theta = 1000, 2, 0.5
+        g = random_rational_table(power_floor(2 * n + h, theta), seed=21)
+        cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.power(theta))
+        whole = selberg_integral_direct(cfg, exact=True)
+        # q = 40 joins at the center 40**2 - h, index 597 of the sweep, past 16 Q0 = 496
+        q = 40
+        boundary = q * q - h - (n + 1)
+        assert g[q] != 0 and boundary >= 16 * power_floor(n + h + 1, theta)
+        monkeypatch.setattr(integral_mod, "SWEEP_BLOCK", boundary)
+        assert selberg_integral_direct(cfg, exact=True) == whole == literal_power_direct(g, n, h, theta)
+        assert math.isclose(selberg_integral_direct(cfg), float(whole), rel_tol=1e-14)
+
+    def test_power_blocks_do_not_change_the_sums(self, monkeypatch):
+        n, h, theta = 3000, 4, 0.6
+        cfg = IntegralConfig(
+            n=n, h=h, g=preset_table("mobius", power_floor(2 * n + h, theta)),
+            cutoff=SupportCutoff.power(theta),
+        )
+        whole = selberg_integral_direct(cfg, exact=True)
+        monkeypatch.setattr(integral_mod, "SWEEP_BLOCK", 1)  # blocks of 16 Q0 = 1952 centers
+        assert selberg_integral_direct(cfg, exact=True) == whole
+        assert math.isclose(selberg_integral_direct(cfg), float(whole), rel_tol=1e-14)
+
+    def test_memory_does_not_grow_with_n(self):
+        # one int64 array over the 2^21 centers alone would take 16.8 MB
+        cfg = IntegralConfig(n=2 ** 21, h=336, g=preset_table("mobius", 78), cutoff=SupportCutoff.fixed(78))
+        tracemalloc.start()
+        try:
+            selberg_integral_direct(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 ** 6
+
+    @pytest.mark.parametrize(
+        "preset, want", [("mobius", 13947.80752397038), ("mobius-squared", 17919.15096540489)]
+    )
+    def test_last_bits_at_two_to_the_21(self, preset, want):
+        # correctly rounded exact values (perfbench/make_refs.py) for N = 2^21, h = 336, Q = 78: 32 blocks
+        cfg = IntegralConfig(n=2 ** 21, h=336, g=preset_table(preset, 78), cutoff=SupportCutoff.fixed(78))
+        assert float(selberg_integral_direct(cfg, exact=True)) == want
+        assert abs(selberg_integral_direct(cfg) - want) <= 4e-16 * want
 
 
 class TestExpSum:
@@ -426,6 +494,28 @@ class TestPairKernelOracle:
         blocked = selberg_integral_decomposed(cfg)
         assert blocked == whole
         assert blocked.pairs == whole.pairs
+
+    def test_no_pair_block_without_pairs(self, monkeypatch):
+        # Q = 2: the one fraction 1/2 has no partner, and its weight F_h(1/2) is 0 for even h
+        cfg = IntegralConfig(n=16, h=2, g=random_rational_table(2, seed=4), cutoff=SupportCutoff.fixed(2))
+        direct = selberg_integral_direct(cfg)
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("x-sums evaluated on no terms")
+
+        monkeypatch.setattr(integral_mod, "_x_sum_array", untouchable)
+        rep = selberg_integral_decomposed(cfg)
+        assert rep.pairs == {
+            "fractions": 1,
+            "near_difference": 0,
+            "far_difference": 0,
+            "near_wrapped_sum": 0,
+            "far_wrapped_sum": 0,
+            "zero_weight_fractions": 1,
+        }
+        parts = (rep.diagonal, rep.near_delta, rep.near_sigma, rep.far_delta, rep.far_sigma, rep.total)
+        assert parts == (0.0,) * 6
+        assert rep.direct == direct
 
     def test_exact_tie_is_near(self):
         # 1/4 - 1/5 = 1/20 = 1/A exactly
