@@ -23,14 +23,14 @@ for u, v in zip(seq, seq[1:]):
 # separation <= 1/A is NEAR (the sign-controlled regime), > 1/A is FAR
 # (controlled by the well-spacing bound instead).
 a = 12
-part = spaced_pair_partition(seq, seq, a, mode="difference")
+part = spaced_pair_partition(seq, a, mode="difference")
 print(f"\nA = {a}, threshold 1/A = 1/{a}")
 print(f"near pairs: {len(part.near)}, far pairs: {len(part.far)}")
 for i, k in part.near:
     print(f"  NEAR  {seq[i].num}/{seq[i].den} - {seq[k].num}/{seq[k].den} = {delta_key(seq[i], seq[k])}")
 
 # wrapped_sum mode keys on the distance of the SUM to the nearest integer
-part_s = spaced_pair_partition(seq, seq, a, mode="wrapped_sum")
+part_s = spaced_pair_partition(seq, a, mode="wrapped_sum")
 sample = part_s.near[:4]
 for i, k in sample:
     print(f"  NEAR(sigma)  {seq[i].num}/{seq[i].den} + {seq[k].num}/{seq[k].den} -> {sigma_key(seq[i], seq[k])}")

@@ -28,7 +28,6 @@ from .arith import (
 )
 from .farey import (
     FareyFraction,
-    FareySequence,
     PairPartition,
     delta_key,
     farey_enumerate,
@@ -79,7 +78,6 @@ __all__ = [
     "FejerCoefficient",
     "RamanujanTable",
     "FareyFraction",
-    "FareySequence",
     "PairPartition",
     "IntegralConfig",
     "DecompositionReport",

@@ -108,6 +108,12 @@ class SupportCutoff:
             return self.q
         return power_floor(m, self.theta)
 
+    def label(self) -> str:
+        """fixed:Q or power:THETA, the form the CLI's --cutoff takes."""
+        if self.mode == "fixed":
+            return f"fixed:{self.q}"
+        return f"power:{self.theta}"
+
 
 def power_floor(m: int, theta: float) -> int:
     """floor(m**theta) for integer m >= 1, guarding float-pow underestimates.

@@ -33,11 +33,11 @@ G_CHOICES = "delta1|unit|mobius|mobius-squared|random:SEED"
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One majorant-comparison row per N: h, Q and A derived from rules.
+    """One majorant-comparison row per N: h and Q derived from rules.
 
     Rules: h_rule and q_rule are pow:EXP or const:V (h is rounded down to
-    even, at least 2); a_rule is nlogn, n or const:V. Derived values keep
-    every h even and every fixed Q at most N + h.
+    even, at least 2). Derived values keep every h even and every Q at
+    most N + h; cutoff is the --cutoff value (see _parse_cutoff).
     """
 
     n_values: tuple[int, ...]
@@ -45,17 +45,15 @@ class SweepPlan:
     q_rule: str
     g_spec: str
     major_spec: str
-    cutoff_theta: float | None  # None = fixed cutoff from q_rule
-    a_rule: str
+    cutoff: str | None
     out: str
 
-    def derive(self, n: int) -> tuple[int, int, float | None]:
+    def derive(self, n: int) -> tuple[int, int]:
         h = _apply_h_rule(self.h_rule, n)
         q = _apply_int_rule(self.q_rule, n)
         if q > n + h:
             raise ValueError(f"derived Q={q} exceeds N + h = {n + h}")
-        a = _apply_a_rule(self.a_rule, n)
-        return h, q, a
+        return h, q
 
 
 def _apply_h_rule(rule: str, n: int) -> int:
@@ -77,14 +75,15 @@ def _apply_int_rule(rule: str, n: int) -> int:
     raise ValueError(f"bad rule {rule!r}; use pow:EXP or const:V")
 
 
-def _apply_a_rule(rule: str, n: int) -> float | None:
-    if rule == "nlogn":
-        return None  # IntegralConfig default
-    if rule == "n":
-        return float(n)
-    if rule.startswith("const:"):
-        return float(rule.split(":", 1)[1])
-    raise ValueError(f"bad A rule {rule!r}; use nlogn, n or const:V")
+def _parse_cutoff(spec: str | None, q: int | None) -> SupportCutoff:
+    """The --cutoff value: fixed (the default, support bound q) or power:THETA."""
+    if spec and spec.startswith("power:"):
+        return SupportCutoff.power(float(spec.split(":", 1)[1]))
+    if spec and spec != "fixed":
+        raise ValueError(f"bad cutoff {spec!r}; use fixed or power:THETA")
+    if q is None:
+        raise ValueError("--q is required for a fixed cutoff")
+    return SupportCutoff.fixed(q)
 
 
 def _open_out(path: str | None):
@@ -125,18 +124,8 @@ def cmd_farey(args) -> int:
 
 
 def _build_config(args) -> IntegralConfig:
-    if args.cutoff and args.cutoff.startswith("power:"):
-        theta = float(args.cutoff.split(":", 1)[1])
-        cutoff = SupportCutoff.power(theta)
-        table_n = power_floor(2 * args.n + args.h, theta)
-    else:
-        if args.cutoff and args.cutoff != "fixed":
-            raise ValueError(f"bad cutoff {args.cutoff!r}; use fixed or power:THETA")
-        if args.q is None:
-            raise ValueError("--q is required for a fixed cutoff")
-        cutoff = SupportCutoff.fixed(args.q)
-        table_n = args.q
-    g = preset_table(args.g, max(1, table_n))
+    cutoff = _parse_cutoff(args.cutoff, args.q)
+    g = preset_table(args.g, cutoff.limit(2 * args.n + args.h))
     return IntegralConfig(
         n=args.n, h=args.h, g=g, cutoff=cutoff, a=args.a, g_name=args.g
     )
@@ -176,7 +165,7 @@ def _config_json(cfg: IntegralConfig) -> dict:
     return {
         "n": cfg.n,
         "h": cfg.h,
-        "cutoff": f"fixed:{cfg.cutoff.q}" if cfg.cutoff.mode == "fixed" else f"power:{cfg.cutoff.theta}",
+        "cutoff": cfg.cutoff.label(),
         "g": cfg.g_name,
         "a": cfg.a_value,
     }
@@ -200,12 +189,7 @@ def cmd_sweep(args) -> int:
         q_rule=args.q_rule,
         g_spec=args.g,
         major_spec=args.G,
-        cutoff_theta=(
-            float(args.cutoff.split(":", 1)[1])
-            if args.cutoff and args.cutoff.startswith("power:")
-            else None
-        ),
-        a_rule=args.a_rule,
+        cutoff=args.cutoff,
         out=args.out,
     )
     rows = run_sweep(plan)
@@ -227,16 +211,12 @@ def run_sweep(plan: SweepPlan):
     """Evaluate the plan, one majorant comparison per N, in plan order."""
     rows = []
     for n in plan.n_values:
-        h, q, a = plan.derive(n)
-        if plan.cutoff_theta is not None:
-            cutoff = SupportCutoff.power(plan.cutoff_theta)
-            table_n = power_floor(2 * n + h, plan.cutoff_theta)
-        else:
-            cutoff = SupportCutoff.fixed(q)
-            table_n = q
-        g = preset_table(plan.g_spec, max(1, table_n))
-        major = preset_table(plan.major_spec, max(1, table_n))
-        cfg = IntegralConfig(n=n, h=h, g=g, cutoff=cutoff, a=a, g_name=plan.g_spec)
+        h, q = plan.derive(n)
+        cutoff = _parse_cutoff(plan.cutoff, q)
+        table_n = cutoff.limit(2 * n + h)
+        g = preset_table(plan.g_spec, table_n)
+        major = preset_table(plan.major_spec, table_n)
+        cfg = IntegralConfig(n=n, h=h, g=g, cutoff=cutoff, g_name=plan.g_spec)
         rows.append(((n, h, q), majorant_compare(cfg, major, plan.major_spec)))
     return rows
 
@@ -293,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default="mobius", help=G_CHOICES)
     p.add_argument("--G", default="mobius-squared", help="majorant preset")
     p.add_argument("--cutoff", default=None, help="fixed (default) or power:THETA")
-    p.add_argument("--a-rule", default="nlogn", dest="a_rule",
-                   help="nlogn, n or const:V")
     p.add_argument("--out", default="-", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

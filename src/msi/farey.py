@@ -1,10 +1,12 @@
 """Reduced fractions of bounded denominator and the well-spacing partition.
 
-farey_enumerate(Q) lists the reduced fractions j/l with 1 < l <= Q in
-(0, 1/2], ascending: the frequency set of the spectral expansion. They are
-generated with the classical next-term recurrence of the ambient order-Q
-sequence, so neighbor unimodularity (b*c - a*d = 1) and the gap law
-1/(b*d) come for free.
+farey_columns(Q) gives the reduced fractions j/l with 1 < l <= Q in
+(0, 1/2], ascending, as int64 num/den columns: the frequency set of the
+spectral expansion. They are generated with the classical next-term
+recurrence of the ambient order-Q sequence, so neighbor unimodularity
+(b*c - a*d = 1) and the gap law 1/(b*d) come for free. farey_enumerate(Q)
+is the same sequence as FareyFraction tuples, for the CLI and the exact
+oracles.
 
 spaced_pair_partition splits oriented pairs by their separation against a
 threshold 1/A: difference mode keys on delta = left - right > 0, wrapped_sum
@@ -17,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -37,75 +37,56 @@ class FareyFraction(NamedTuple):
         return Fraction(self.num, self.den)
 
 
-@dataclass(frozen=True)
-class FareySequence:
-    """Ascending reduced fractions with denominator in (1, Q], value in (0, 1/2]."""
-
-    q: int
-    fractions: tuple[FareyFraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.fractions)
-
-    def __iter__(self) -> Iterator[FareyFraction]:
-        return iter(self.fractions)
-
-    def __getitem__(self, i: int) -> FareyFraction:
-        return self.fractions[i]
-
-
-def farey_full(q: int) -> list[tuple[int, int]]:
-    """The ambient order-q sequence on [0, 1] as (num, den) pairs.
+def _walk(q: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 num and den of the order-q sequence from 0/1 up to 1/stop.
 
     Next-term recurrence from 0/1 and 1/q: each step is one integer
     multiply-subtract, and consecutive terms are unimodular by construction.
+    1/stop must be a term (stop <= q).
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    terms = [(0, 1), (1, q)]
+    nums, dens = [0, 1], [1, q]
     a, b, c, d = 0, 1, 1, q
-    while c != d:
+    while stop * c != d:
         k = (q + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-        terms.append((c, d))
-    return terms
+        nums.append(c)
+        dens.append(d)
+    return np.array(nums, np.int64), np.array(dens, np.int64)
 
 
-def farey_columns(pairs: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """num and den of (num, den) pairs (farey_full(q), a FareySequence) as int64 arrays."""
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64)
-    num, den = flat.reshape(-1, 2).T.copy()
-    return num, den
+def farey_full(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """num and den (int64) of the ambient order-q sequence on [0, 1]."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    return _walk(q, 1)
 
 
-@lru_cache(maxsize=512)
-def farey_enumerate(q: int) -> FareySequence:
-    """All reduced j/l with 1 < l <= q and 0 < j/l <= 1/2, sorted ascending.
+def farey_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """num and den (int64) of all reduced j/l with 1 < l <= q and 0 < j/l <= 1/2, ascending.
 
     Raises:
         ValueError: for q < 2 (no admissible denominator).
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    out = []
-    a, b, c, d = 0, 1, 1, q
-    while 2 * c <= d:
-        out.append(FareyFraction(c, d))
-        if 2 * c == d:
-            break
-        k = (q + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return FareySequence(q, tuple(out))
+    num, den = _walk(q, 2)
+    return num[1:], den[1:]
+
+
+def farey_enumerate(q: int) -> tuple[FareyFraction, ...]:
+    """farey_columns(q) as FareyFraction tuples."""
+    num, den = farey_columns(q)
+    return tuple(map(FareyFraction, num.tolist(), den.tolist()))
 
 
 def farey_count(q: int) -> int:
-    """len(farey_enumerate(q)) without enumerating: (1 + sum_{2<=l<=q} phi(l)) / 2.
+    """len(farey_columns(q)[0]) without enumerating: (1 + sum_{2<=l<=q} phi(l)) / 2.
 
     Each l > 2 contributes phi(l)/2 reduced numerators j <= l/2, and l = 2
     contributes 1/2; a totient sieve costs O(q log log q).
 
     Raises:
-        ValueError: for q < 2, as farey_enumerate does.
+        ValueError: for q < 2, as farey_columns does.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -116,7 +97,7 @@ def farey_count(q: int) -> int:
     return (1 + sum(phi[2:])) // 2
 
 
-def min_gap(seq: FareySequence) -> Fraction:
+def min_gap(seq: Sequence[FareyFraction]) -> Fraction:
     """Smallest difference of consecutive fractions; at least 1/Q**2.
 
     Raises:
@@ -152,17 +133,17 @@ class PairPartition:
 
 
 def spaced_pair_partition(
-    seq_left: FareySequence,
-    seq_right: FareySequence,
+    seq: Sequence[FareyFraction],
     a: Union[float, int, Fraction],
     mode: str = "difference",
 ) -> PairPartition:
     """Partition oriented pairs into NEAR (key <= 1/A) and FAR (key > 1/A).
 
-    Pairs are (i, k) with seq_left[i].value > seq_right[k].value; pairs are
-    oriented so the difference is positive, and equal-valued pairs belong to
-    the diagonal, never to this partition. difference mode keys on delta,
-    wrapped_sum mode on sigma; the threshold comparison is exact.
+    Pairs are (i, k) with i > k, so seq[i].value > seq[k].value for an
+    ascending sequence: pairs are oriented so the difference is positive,
+    and equal-valued pairs belong to the diagonal, never to this partition.
+    difference mode keys on delta, wrapped_sum mode on sigma; the threshold
+    comparison is exact.
     """
     if mode not in PAIR_MODES:
         raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
@@ -171,14 +152,9 @@ def spaced_pair_partition(
     threshold = 1 / Fraction(a)
     near: list[tuple[int, int]] = []
     far: list[tuple[int, int]] = []
-    same = seq_left is seq_right or seq_left == seq_right
-    for i, u in enumerate(seq_left.fractions):
-        # ascending sequences: identical sequences need only k < i
-        right_range = range(i) if same else range(len(seq_right))
-        for k in right_range:
-            v = seq_right[k]
-            if not same and u.value <= v.value:
-                continue
+    for i, u in enumerate(seq):
+        for k in range(i):
+            v = seq[k]
             key = delta_key(u, v) if mode == "difference" else sigma_key(u, v)
             (near if key <= threshold else far).append((i, k))
     return PairPartition(mode, threshold, tuple(near), tuple(far))

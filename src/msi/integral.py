@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .arith import FunctionTable, Rational, SupportCutoff
-from .farey import farey_columns, farey_count, farey_enumerate
+from .farey import farey_columns, farey_count
 from .short_sums import FejerWindow
 from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficient_square_sum
 
@@ -411,14 +411,14 @@ def _check_int64_range(cfg: IntegralConfig) -> None:
 
 
 def _farey_arrays(cfg: IntegralConfig) -> tuple[np.ndarray, ...]:
-    """num, den (int64), R_den and F_h(num/den) over farey_enumerate(Q).
+    """num, den (int64), R_den and F_h(num/den) over farey_columns(Q).
 
     One exact R_l per denominator from one integer pass over g, rounded
     once to float; the spectral weight of a fraction is R_den * F_h(num/den).
     """
     q_max = cfg.cutoff.q
     r = np.array([0.0] + [a / b for a, b in _ramanujan_ratios(cfg.g, q_max)])
-    num, den = farey_columns(farey_enumerate(q_max))
+    num, den = farey_columns(q_max)
     return num, den, r[den], den * _coefficients(num, den, cfg.h)
 
 
@@ -526,7 +526,7 @@ def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
 
 
 def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartReport:
-    """Well-spaced parts against A*h, with the chain of majorants alongside.
+    """Well-spaced parts against A*h, with the successive majorants alongside.
 
     Reports |far_delta| + |far_sigma|, its ratio to A*h, and the majorant
     scale * A * (sum over 1 < l <= Q of the reduced coefficient square sum)
@@ -591,14 +591,8 @@ def majorant_compare(
         meta={
             "n": cfg.n,
             "h": cfg.h,
-            "cutoff": _cutoff_label(cfg.cutoff),
+            "cutoff": cfg.cutoff.label(),
             "g": cfg.g_name,
             "G": major_name,
         },
     )
-
-
-def _cutoff_label(cutoff: SupportCutoff) -> str:
-    if cutoff.mode == "fixed":
-        return f"fixed:{cutoff.q}"
-    return f"power:{cutoff.theta}"

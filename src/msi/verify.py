@@ -412,7 +412,7 @@ def check_unimodularity(q_top: int = 300) -> PropertyReport:
     """
     instances = failures = 0
     for q in range(1, q_top + 1):
-        num, den = farey_columns(farey_full(q))
+        num, den = farey_full(q)
         instances += num.size - 1
         failures += int(np.count_nonzero(_cross(num, den) != 1))
     return _exact_report("F1", instances, failures)
@@ -423,12 +423,12 @@ def check_gap_law(q_top: int = 300) -> PropertyReport:
     instances = failures = 0
     for q in range(2, q_top + 1):
         # v - u == 1/(den_u den_v)  <=>  unimodular cross-product
-        cross = _cross(*farey_columns(farey_enumerate(q)))
+        cross = _cross(*farey_columns(q))
         instances += cross.size
         failures += int(np.count_nonzero(cross != 1))
     # spot-check the Fraction arithmetic form as well
     for q in (5, 17, 120):
-        fr = farey_enumerate(q).fractions
+        fr = farey_enumerate(q)
         for u, v in zip(fr, fr[1:]):
             instances += 1
             if v.value - u.value != Fraction(1, u.den * v.den):
@@ -445,7 +445,7 @@ def check_min_gap(q_top: int = 300) -> PropertyReport:
     """
     instances = failures = 0
     for q in range(3, q_top + 1):
-        _, den = farey_columns(farey_enumerate(q))
+        _, den = farey_columns(q)
         worst_prod = int((den[:-1] * den[1:]).max())
         instances += 1
         if worst_prod > q * q:
@@ -467,7 +467,7 @@ def check_partition_exhaustive() -> PropertyReport:
             (i, k) for i in range(m) for k in range(i)
         }
         for mode in ("difference", "wrapped_sum"):
-            part = spaced_pair_partition(seq, seq, a, mode)
+            part = spaced_pair_partition(seq, a, mode)
             near, far = set(part.near), set(part.far)
             instances += len(expected)
             if near | far != expected or near & far:
@@ -484,7 +484,7 @@ def check_sorted_spacing(q_top: int = 300) -> PropertyReport:
     """
     instances = failures = 0
     for q in range(3, q_top + 1):
-        num, den = farey_columns(farey_enumerate(q))
+        num, den = farey_columns(q)
         gd = int((den[:-1] * den[1:]).max())  # min_gap = 1/gd
         if q <= 60:
             n, m = np.tril_indices(num.size, -1)
@@ -680,7 +680,7 @@ def check_taylor_positivity() -> PropertyReport:
             seq = farey_enumerate(q)
             a = 8.0 * n
             for mode in ("difference", "wrapped_sum"):
-                part = spaced_pair_partition(seq, seq, a, mode)
+                part = spaced_pair_partition(seq, a, mode)
                 for i, k in part.near:
                     found_near += 1
                     if mode == "difference":

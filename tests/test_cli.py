@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,8 @@ FAREY5_CSV = """num,den,value
 2,5,0.4
 1,2,0.5
 """
+
+FAREY300_CSV_SHA256 = "9831424d2c48eb331740b66841607e4240dd1de66acca82ccfe48456752cd825"
 
 MOBIUS10_CSV = """n,value
 1,1
@@ -58,6 +61,14 @@ def test_farey_golden(capsys):
     code, out, _ = run(capsys, "farey", "--q", "5", "--csv")
     assert code == 0
     assert out == FAREY5_CSV
+
+
+def test_farey_q300_csv_digest(capsys):
+    # the whole order-300 output, pinned by digest: 13,700 lines are too many to inline
+    code, out, _ = run(capsys, "farey", "--q", "300", "--csv")
+    assert code == 0
+    assert len(out.splitlines()) == 13700
+    assert hashlib.sha256(out.encode()).hexdigest() == FAREY300_CSV_SHA256
 
 
 def test_integral_json_schema(capsys):
@@ -189,7 +200,7 @@ def test_sweep_custom_rules(tmp_path):
     out = tmp_path / "c.csv"
     code = main([
         "sweep", "--n-values", "256,512", "--h-rule", "const:4", "--q-rule", "const:6",
-        "--g", "random:7", "--G", "unit", "--a-rule", "n", "--out", str(out),
+        "--g", "random:7", "--G", "unit", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -199,3 +210,10 @@ def test_sweep_custom_rules(tmp_path):
 def test_sweep_bad_rule_is_usage_error(tmp_path):
     code = main(["sweep", "--n-values", "256", "--h-rule", "const:3", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_sweep_bad_cutoff_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--n-values", "256", "--cutoff", "bogus", "--out", str(out)]) == 2
+    assert "bad cutoff 'bogus'" in capsys.readouterr().err
+    assert not out.exists()

@@ -29,6 +29,11 @@ def brute_half_fractions(q):
     return sorted(out)
 
 
+def pairs_of(columns):
+    num, den = columns
+    return list(zip(num.tolist(), den.tolist()))
+
+
 class TestEnumerate:
     def test_q2(self):
         seq = farey_enumerate(2)
@@ -52,18 +57,20 @@ class TestEnumerate:
     def test_small_q_rejected(self):
         with pytest.raises(ValueError):
             farey_enumerate(1)
+        with pytest.raises(ValueError):
+            farey_columns(1)
 
 
 class TestFullSequence:
     def test_unimodular_consecutive(self):
         for q in (1, 2, 13, 60):
-            seq = farey_full(q)
+            seq = pairs_of(farey_full(q))
             assert seq[0] == (0, 1) and seq[-1] == (1, 1)
             for (a, b), (c, d) in zip(seq, seq[1:]):
                 assert b * c - a * d == 1
 
     def test_gap_law(self):
-        seq = farey_full(30)
+        seq = pairs_of(farey_full(30))
         for (a, b), (c, d) in zip(seq, seq[1:]):
             assert Fraction(c, d) - Fraction(a, b) == Fraction(1, b * d)
 
@@ -97,14 +104,14 @@ class TestPartition:
         # threshold 1/A at or above the largest possible key
         seq = farey_enumerate(8)
         for mode in ("difference", "wrapped_sum"):
-            part = spaced_pair_partition(seq, seq, 2, mode)
+            part = spaced_pair_partition(seq, 2, mode)
             assert part.far == ()
             assert len(part.near) == len(seq) * (len(seq) - 1) // 2
 
     def test_q5_a10_examples(self):
         seq = farey_enumerate(5)
         idx = {(f.num, f.den): i for i, f in enumerate(seq)}
-        part = spaced_pair_partition(seq, seq, 10, "difference")
+        part = spaced_pair_partition(seq, 10, "difference")
         assert (idx[(1, 4)], idx[(1, 5)]) in part.near  # delta = 1/20 <= 1/10
         assert (idx[(1, 2)], idx[(1, 5)]) in part.far  # delta = 3/10 > 1/10
 
@@ -116,22 +123,22 @@ class TestPartition:
 
     def test_tie_goes_near(self):
         seq = farey_enumerate(5)
-        part = spaced_pair_partition(seq, seq, 20, "difference")  # threshold 1/20
+        part = spaced_pair_partition(seq, 20, "difference")  # threshold 1/20
         idx = {(f.num, f.den): i for i, f in enumerate(seq)}
         assert (idx[(1, 4)], idx[(1, 5)]) in part.near  # delta = 1/20 exactly
 
     def test_oriented_pairs_have_positive_delta(self):
         seq = farey_enumerate(9)
-        part = spaced_pair_partition(seq, seq, 7, "difference")
+        part = spaced_pair_partition(seq, 7, "difference")
         for i, k in part.near + part.far:
             assert seq[i].value > seq[k].value
 
     def test_bad_mode_and_bad_a(self):
         seq = farey_enumerate(3)
         with pytest.raises(ValueError):
-            spaced_pair_partition(seq, seq, 2, "nope")
+            spaced_pair_partition(seq, 2, "nope")
         with pytest.raises(ValueError):
-            spaced_pair_partition(seq, seq, 0, "difference")
+            spaced_pair_partition(seq, 0, "difference")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 30), st.floats(min_value=0.5, max_value=1e6))
@@ -140,14 +147,14 @@ class TestPartition:
         m = len(seq)
         expected = {(i, k) for i in range(m) for k in range(i)}
         for mode in ("difference", "wrapped_sum"):
-            part = spaced_pair_partition(seq, seq, a, mode)
+            part = spaced_pair_partition(seq, a, mode)
             near, far = set(part.near), set(part.far)
             assert near | far == expected
             assert not near & far
 
     def test_threshold_is_exact(self):
         seq = farey_enumerate(6)
-        part = spaced_pair_partition(seq, seq, 6, "difference")
+        part = spaced_pair_partition(seq, 6, "difference")
         thr = Fraction(1, 6)
         for i, k in part.near:
             assert delta_key(seq[i], seq[k]) <= thr
@@ -174,11 +181,20 @@ def test_sorted_index_spacing_literal():
 
 class TestColumns:
     def test_columns_of_sequence_and_full(self):
-        num, den = farey_columns(farey_enumerate(7))
+        num, den = farey_columns(7)
         assert num.dtype == den.dtype == np.int64
-        assert list(zip(num.tolist(), den.tolist())) == [(f.num, f.den) for f in farey_enumerate(7)]
-        num, den = farey_columns(farey_full(5))
-        assert list(zip(num.tolist(), den.tolist())) == farey_full(5)
+        assert pairs_of((num, den)) == [(f.num, f.den) for f in farey_enumerate(7)]
+        for q in (2, 5, 13):
+            num, den = farey_full(q)
+            assert num.dtype == den.dtype == np.int64
+            half = [(a, b) for a, b in pairs_of((num, den)) if 0 < 2 * a <= b]
+            assert pairs_of(farey_columns(q)) == half
+
+    def test_columns_match_brute_force_and_enumerate(self):
+        for q in range(2, 61):
+            pairs = pairs_of(farey_columns(q))
+            assert pairs == [(f.numerator, f.denominator) for f in brute_half_fractions(q)]
+            assert farey_enumerate(q) == tuple(pairs)
 
     def test_fractions_are_immutable_hashable_tuples(self):
         f = FareyFraction(2, 5)

@@ -64,7 +64,7 @@ def forbid_work(monkeypatch):
         raise AssertionError("work started before the guard")
 
     monkeypatch.setattr(integral_mod, "selberg_integral_direct", untouchable)
-    monkeypatch.setattr(integral_mod, "farey_enumerate", untouchable)
+    monkeypatch.setattr(integral_mod, "farey_columns", untouchable)
 
 
 class TestConfig:
@@ -439,8 +439,8 @@ def reference_parts(cfg):
             if weights[i] != 0.0 and weights[k] != 0.0
         )
 
-    part_d = spaced_pair_partition(seq, seq, cfg.a_value, "difference")
-    part_s = spaced_pair_partition(seq, seq, cfg.a_value, "wrapped_sum")
+    part_d = spaced_pair_partition(seq, cfg.a_value, "difference")
+    part_s = spaced_pair_partition(seq, cfg.a_value, "wrapped_sum")
     counts = {
         "fractions": len(seq),
         "near_difference": len(part_d.near),
