@@ -7,17 +7,17 @@ allowance N*h, up to factors smaller than any fixed power of N. The ratio
 j_f / (j_F + N*h) across doublings of N is the desk-scale readout.
 """
 
-from msi import IntegralConfig, SupportCutoff, majorant_compare, preset_table
-from msi.arith import power_floor
-from msi.verify import even_floor, majorant_growth_experiment
+from msi import SupportCutoff
+from msi.verify import H_RULE, Q_RULE, majorant_growth_experiment, majorant_sweep
 
 # g = mobius restricted to [1, Q], G = mobius^2: |g| = G on the support.
 rows, ok, worst = majorant_growth_experiment(range(10, 17))
 print("N        h    Q   j_f          j_F          ratio        bound")
 for rep, bound in rows:
     m = rep.meta
+    q = SupportCutoff.parse(m["cutoff"]).q  # the row's fixed:Q label
     print(
-        f"{m['n']:<8d} {m['h']:<4d} {power_floor(m['n'], 0.3):<3d} "
+        f"{m['n']:<8d} {m['h']:<4d} {q:<3d} "
         f"{rep.j_f:<12.5g} {rep.j_F:<12.5g} {rep.ratio:<12.4e} {bound:.4e}"
     )
 print(f"growth within (N/N0)^0.2 of the base ratio: {ok} (worst excess {worst:.3f})")
@@ -28,12 +28,6 @@ print("the 0.2 exponent is a frozen implementation proxy for 'slower than any po
 # the one this construction forces (harmonic sum vs the true short-interval
 # mean), so the comparison mean square is trivially large. Reported only,
 # asserted never.
-n, h = 4096, even_floor(4096 ** 0.4)
-q = power_floor(n, 0.3)
-cfg = IntegralConfig(
-    n=n, h=h, g=preset_table("random:42", q), cutoff=SupportCutoff.fixed(q),
-    g_name="random:42",
-)
-rep = majorant_compare(cfg, preset_table("unit", q), "unit")
+[(_, rep)] = majorant_sweep([4096], H_RULE, Q_RULE, "random:42", "unit")
 print(f"G = 1 (trivial comparison): j_f = {rep.j_f:.5g}, j_F = {rep.j_F:.5g}, ratio = {rep.ratio:.4e}")
 print("no assertion here: the constant majorant's own mean square carries no cancellation")

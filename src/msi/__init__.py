@@ -27,8 +27,6 @@ from .arith import (
     write_csv,
 )
 from .farey import (
-    FareyFraction,
-    PairPartition,
     delta_key,
     farey_enumerate,
     farey_full,
@@ -37,10 +35,7 @@ from .farey import (
     spaced_pair_partition,
 )
 from .integral import (
-    DecompositionReport,
-    FarPartReport,
     IntegralConfig,
-    MajorantReport,
     ResourceBudgetError,
     diagonal_term,
     far_part_bound_check,
@@ -57,8 +52,6 @@ from .short_sums import (
     mean_value,
 )
 from .spectral import (
-    FejerCoefficient,
-    RamanujanTable,
     chi_tilde_expansion,
     coefficient_square_sum,
     exp_sum_closed_form,
@@ -75,14 +68,7 @@ __all__ = [
     "SupportCutoff",
     "FejerWindow",
     "PrefixSums",
-    "FejerCoefficient",
-    "RamanujanTable",
-    "FareyFraction",
-    "PairPartition",
     "IntegralConfig",
-    "DecompositionReport",
-    "FarPartReport",
-    "MajorantReport",
     "ResourceBudgetError",
     "sieve_mobius",
     "sieve_divisor_count",

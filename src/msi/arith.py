@@ -102,6 +102,30 @@ class SupportCutoff:
     def power(cls, theta: float) -> "SupportCutoff":
         return cls(mode="power", theta=theta)
 
+    @classmethod
+    def parse(cls, spec: str | None, q: int | None = None) -> "SupportCutoff":
+        """Inverse of label(); a bare `fixed` (or no spec) is the fixed cutoff at q.
+
+        q, the CLI's --q or a sweep's q-rule value, is required by a bare
+        fixed spec and refused by every other spec, so it is never ignored.
+        """
+        mode, _, value = (spec or "fixed").partition(":")
+        if mode not in ("fixed", "power"):
+            raise ValueError(f"bad cutoff {spec!r}; use fixed or power:THETA")
+        if cls.takes_q(spec) != (q is not None):
+            raise ValueError(
+                f"--q does not apply to the cutoff {spec}" if q is not None
+                else "--q is required for a fixed cutoff"
+            )
+        if mode == "power":
+            return cls.power(float(value))
+        return cls.fixed(int(value) if value else q)
+
+    @staticmethod
+    def takes_q(spec: str | None) -> bool:
+        """True when parse(spec, q) reads q: a bare `fixed` or no spec."""
+        return spec in (None, "fixed")
+
     def limit(self, m: int) -> int:
         """Support bound when the window reaches up to m = x + h."""
         if self.mode == "fixed":

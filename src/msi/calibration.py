@@ -3,17 +3,19 @@
 The asymptotic bounds checked downstream hide constants; to make them
 assertable at finite scale, each constant is calibrated once by brute force
 over its full grid and frozen here at twice the observed maximum (rounded
-up). Rerunning the sweep functions reproduces the observed maxima.
+up). The sweep functions reproduce the observed maxima; the checks in
+msi.verify run them and divide by the frozen constants.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
 
-from .arith import preset_table, random_rational_table
-from .integral import IntegralConfig, SupportCutoff
+from .arith import random_rational_table
+from .integral import IntegralConfig, SupportCutoff, selberg_integral_decomposed
 from .spectral import coefficient_square_sums
 
 # Observed max of sum_j c_{j,q}**2 / min(1, h/q) over q <= 2000, even
@@ -29,14 +31,16 @@ FAR_PART_BOUND_C = 0.26
 def square_sum_ratio_sweep(q_max: int = 2000, h_max: int = 200):
     """Worst sum/min(1, h/q) over the full (q, h) grid.
 
-    Returns (max_ratio, (q, h) attaining it). SQUARE_SUM_BOUND_C is twice
-    this maximum, rounded up.
+    Returns (max_ratio, (q, h) attaining it, the square-sum table): the
+    table is coefficient_square_sums(q_max, even h <= h_max), row h/2 - 1,
+    column q. SQUARE_SUM_BOUND_C is twice this maximum, rounded up.
     """
     hs = np.arange(2, h_max + 1, 2)
     qq = np.arange(2, q_max + 1)
-    ratio = coefficient_square_sums(q_max, hs)[:, 2:] / np.minimum(1.0, hs[:, None] / qq)
+    sums = coefficient_square_sums(q_max, hs)
+    ratio = sums[:, 2:] / np.minimum(1.0, hs[:, None] / qq)
     i, k = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    return float(ratio[i, k]), (int(qq[k]), int(hs[i]))
+    return float(ratio[i, k]), (int(qq[k]), int(hs[i])), sums
 
 
 def reconstruction_grid(
@@ -62,31 +66,24 @@ def reconstruction_grid(
                     cutoff=cut, g_name="random",
                 )
                 if n % preset_every == 0:
-                    yield IntegralConfig(
-                        n=n, h=h, g=preset_table("mobius", q), cutoff=cut, g_name="mobius"
-                    )
-                    yield IntegralConfig(
-                        n=n, h=h, g=preset_table("unit", q), cutoff=cut, g_name="unit"
-                    )
+                    yield IntegralConfig.from_presets(n, h, "mobius", cut)
+                    yield IntegralConfig.from_presets(n, h, "unit", cut)
 
 
 def far_part_ratio_sweep(n_step: int = 1):
     """Worst (|far_delta| + |far_sigma|) / (A h) over the grid, A in {N, N log N}.
 
-    Returns (max_ratio, describing tuple). FAR_PART_BOUND_C is twice this
-    maximum, rounded up.
+    Returns (max_ratio, describing tuple, decompositions run).
+    FAR_PART_BOUND_C is twice this maximum, rounded up.
     """
-    from .integral import selberg_integral_decomposed
-
-    worst, worst_at = 0.0, None
+    worst, worst_at, runs = 0.0, None, 0
     for cfg in reconstruction_grid(n_step=n_step):
         for a in (float(cfg.n), None):
-            c = IntegralConfig(
-                n=cfg.n, h=cfg.h, g=cfg.g, cutoff=cfg.cutoff, a=a, g_name=cfg.g_name
-            )
+            c = replace(cfg, a=a)
             rep = selberg_integral_decomposed(c)
+            runs += 1
             ratio = (abs(rep.far_delta) + abs(rep.far_sigma)) / (c.a_value * c.h)
             if ratio > worst:
                 worst = ratio
                 worst_at = (c.n, c.h, c.cutoff.q, c.g_name, "N" if a else "NlogN")
-    return worst, worst_at
+    return worst, worst_at, runs

@@ -9,81 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .arith import (
-    SupportCutoff,
-    power_floor,
-    preset_table,
-    sieve_divisor_count,
-    write_csv,
-)
+from .arith import SupportCutoff, preset_table, sieve_divisor_count, write_csv
 from .farey import farey_enumerate
 from .integral import (
     IntegralConfig,
     ResourceBudgetError,
-    majorant_compare,
     selberg_integral_decomposed,
     selberg_integral_direct,
 )
-from .verify import SUITES, even_floor, run_suite
+from .verify import H_RULE, Q_RULE, SUITES, majorant_sweep, run_suite
 
 G_CHOICES = "delta1|unit|mobius|mobius-squared|random:SEED"
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """One majorant-comparison row per N: h and Q derived from rules.
-
-    Rules: h_rule and q_rule are pow:EXP or const:V (h is rounded down to
-    even, at least 2). Derived values keep every h even and every Q at
-    most N + h; cutoff is the --cutoff value (see _parse_cutoff).
-    """
-
-    n_values: tuple[int, ...]
-    h_rule: str
-    q_rule: str
-    g_spec: str
-    major_spec: str
-    cutoff: str | None
-    out: str
-
-    def derive(self, n: int) -> tuple[int, int]:
-        h = _apply_h_rule(self.h_rule, n)
-        q = _apply_int_rule(self.q_rule, n)
-        if q > n + h:
-            raise ValueError(f"derived Q={q} exceeds N + h = {n + h}")
-        return h, q
-
-
-def _apply_h_rule(rule: str, n: int) -> int:
-    if rule.startswith("pow:"):
-        return even_floor(n ** float(rule.split(":", 1)[1]))
-    if rule.startswith("const:"):
-        h = int(rule.split(":", 1)[1])
-        if h < 2 or h % 2:
-            raise ValueError(f"constant h must be even and >= 2, got {h}")
-        return h
-    raise ValueError(f"bad h rule {rule!r}; use pow:EXP or const:V")
-
-
-def _apply_int_rule(rule: str, n: int) -> int:
-    if rule.startswith("pow:"):
-        return max(1, power_floor(n, float(rule.split(":", 1)[1])))
-    if rule.startswith("const:"):
-        return int(rule.split(":", 1)[1])
-    raise ValueError(f"bad rule {rule!r}; use pow:EXP or const:V")
-
-
-def _parse_cutoff(spec: str | None, q: int | None) -> SupportCutoff:
-    """The --cutoff value: fixed (the default, support bound q) or power:THETA."""
-    if spec and spec.startswith("power:"):
-        return SupportCutoff.power(float(spec.split(":", 1)[1]))
-    if spec and spec != "fixed":
-        raise ValueError(f"bad cutoff {spec!r}; use fixed or power:THETA")
-    if q is None:
-        raise ValueError("--q is required for a fixed cutoff")
-    return SupportCutoff.fixed(q)
 
 
 def _open_out(path: str | None):
@@ -123,16 +60,9 @@ def cmd_farey(args) -> int:
     return 0
 
 
-def _build_config(args) -> IntegralConfig:
-    cutoff = _parse_cutoff(args.cutoff, args.q)
-    g = preset_table(args.g, cutoff.limit(2 * args.n + args.h))
-    return IntegralConfig(
-        n=args.n, h=args.h, g=g, cutoff=cutoff, a=args.a, g_name=args.g
-    )
-
-
 def cmd_integral(args) -> int:
-    cfg = _build_config(args)
+    cutoff = SupportCutoff.parse(args.cutoff, args.q)
+    cfg = IntegralConfig.from_presets(args.n, args.h, args.g, cutoff, a=args.a)
     q_label = cfg.cutoff.q if cfg.cutoff.mode == "fixed" else f"power:{cfg.cutoff.theta}"
     if not args.decompose:
         direct = selberg_integral_direct(cfg)
@@ -182,43 +112,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    n_values = tuple(int(v) for v in args.n_values.split(","))
-    plan = SweepPlan(
-        n_values=n_values,
-        h_rule=args.h_rule,
-        q_rule=args.q_rule,
-        g_spec=args.g,
-        major_spec=args.G,
-        cutoff=args.cutoff,
-        out=args.out,
-    )
-    rows = run_sweep(plan)
-    stream, close = _open_out(plan.out)
+    n_values = [int(v) for v in args.n_values.split(",")]
+    rows = majorant_sweep(n_values, args.h_rule, args.q_rule, args.g, args.G, args.cutoff)
+    stream, close = _open_out(args.out)
     try:
         stream.write("N,h,Q,g,G,j_f,j_F,nh,ratio\n")
         for (n, h, q), rep in rows:
             stream.write(
-                f"{n},{h},{q},{plan.g_spec},{plan.major_spec},"
+                f"{n},{h},{q},{args.g},{args.G},"
                 f"{rep.j_f!r},{rep.j_F!r},{rep.n_h!r},{rep.ratio!r}\n"
             )
     finally:
         if close:
             stream.close()
     return 0
-
-
-def run_sweep(plan: SweepPlan):
-    """Evaluate the plan, one majorant comparison per N, in plan order."""
-    rows = []
-    for n in plan.n_values:
-        h, q = plan.derive(n)
-        cutoff = _parse_cutoff(plan.cutoff, q)
-        table_n = cutoff.limit(2 * n + h)
-        g = preset_table(plan.g_spec, table_n)
-        major = preset_table(plan.major_spec, table_n)
-        cfg = IntegralConfig(n=n, h=h, g=g, cutoff=cutoff, g_name=plan.g_spec)
-        rows.append(((n, h, q), majorant_compare(cfg, major, plan.major_spec)))
-    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral", help="mean square of centered short sums")
     p.add_argument("--n", type=int, required=True, help="sweep over x in (N, 2N]")
     p.add_argument("--h", type=int, required=True, help="even window half-width")
-    p.add_argument("--q", type=int, default=None, help="fixed support bound")
+    p.add_argument("--q", type=int, default=None, help="fixed support bound (fixed cutoff only)")
     p.add_argument("--g", required=True, help=G_CHOICES)
     p.add_argument("--cutoff", default=None, help="fixed (default) or power:THETA")
     p.add_argument("--a", type=float, default=None, help="spacing parameter (default N log N)")
@@ -266,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="majorant comparison across a list of N")
     p.add_argument("--n-values", required=True, dest="n_values",
                    help="comma-separated N list, e.g. 1024,2048,4096")
-    p.add_argument("--h-rule", default="pow:0.4", dest="h_rule",
-                   help="pow:EXP or const:V (even-rounded, default pow:0.4)")
-    p.add_argument("--q-rule", default="pow:0.3", dest="q_rule",
-                   help="pow:EXP or const:V (default pow:0.3)")
+    p.add_argument("--h-rule", default=H_RULE, dest="h_rule",
+                   help=f"pow:EXP or const:V (even-rounded, default {H_RULE})")
+    p.add_argument("--q-rule", default=Q_RULE, dest="q_rule",
+                   help=f"pow:EXP or const:V (default {Q_RULE}); fixed cutoff only")
     p.add_argument("--g", default="mobius", help=G_CHOICES)
     p.add_argument("--G", default="mobius-squared", help="majorant preset")
     p.add_argument("--cutoff", default=None, help="fixed (default) or power:THETA")

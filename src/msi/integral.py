@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .arith import FunctionTable, Rational, SupportCutoff
+from .arith import FunctionTable, Rational, SupportCutoff, preset_table
 from .farey import farey_columns, farey_count
 from .short_sums import FejerWindow
 from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficient_square_sum
@@ -69,15 +69,30 @@ class IntegralConfig:
     g_name: str = "custom"
 
     def __post_init__(self):
-        FejerWindow(self.h)  # validates h even, >= 2
-        if self.h > 2 and 4 * self.h > self.n:
-            raise ValueError(f"h={self.h} too large for n={self.n}: need h <= n/4")
-        if self.h == 2 and self.n < 4:
+        self.check(self.n, self.h, self.cutoff)
+
+    @staticmethod
+    def check(n: int, h: int, cutoff: SupportCutoff) -> None:
+        """Raise ValueError unless (n, h, cutoff) is an admissible config shape."""
+        FejerWindow(h)  # validates h even, >= 2
+        if h > 2 and 4 * h > n:
+            raise ValueError(f"h={h} too large for n={n}: need h <= n/4")
+        if h == 2 and n < 4:
             raise ValueError("n must be at least 4")
-        if self.cutoff.mode == "fixed" and self.cutoff.q > self.n + self.h:
-            raise ValueError(
-                f"fixed cutoff Q={self.cutoff.q} exceeds n + h = {self.n + self.h}"
-            )
+        if cutoff.mode == "fixed" and cutoff.q > n + h:
+            raise ValueError(f"fixed cutoff Q={cutoff.q} exceeds n + h = {n + h}")
+
+    @classmethod
+    def from_presets(
+        cls, n: int, h: int, g_name: str, cutoff: SupportCutoff, a: float | None = None
+    ) -> "IntegralConfig":
+        """The config with g = preset_table(g_name) up to cutoff.limit(2n + h).
+
+        The shape is checked first, so a bad config never tabulates g.
+        """
+        cls.check(n, h, cutoff)
+        g = preset_table(g_name, cutoff.limit(2 * n + h))
+        return cls(n=n, h=h, g=g, cutoff=cutoff, a=a, g_name=g_name)
 
     @property
     def window(self) -> FejerWindow:

@@ -68,7 +68,6 @@ from .spectral import (
     _coefficients,
     chi_tilde_expansion,
     coefficient_square_sum,
-    coefficient_square_sums,
     exp_sum_closed_form,
     ramanujan_coefficient,
 )
@@ -80,7 +79,6 @@ class PropertyReport:
     instances: int
     max_error: float
     passed: bool
-    note: str = ""
 
     def __post_init__(self):
         # checks may compute with numpy; keep the report JSON-serializable
@@ -113,8 +111,8 @@ class SuiteReport:
         }
 
 
-def _exact_report(name: str, instances: int, failures: int, note: str = "") -> PropertyReport:
-    return PropertyReport(name, instances, 0.0 if failures == 0 else float(failures), failures == 0, note)
+def _exact_report(name: str, instances: int, failures: int) -> PropertyReport:
+    return PropertyReport(name, instances, 0.0 if failures == 0 else float(failures), failures == 0)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +143,7 @@ def check_two_forms(fast: bool = False) -> PropertyReport:
                 instances += 1
                 if fejer_short_sum(f, x, w, sums) != averaged_double_sum(f, x, w):
                     failures += 1
-    return _exact_report("I1", instances, failures, "two-forms identity, exact")
+    return _exact_report("I1", instances, failures)
 
 
 def check_linearity(samples: int = 200) -> PropertyReport:
@@ -166,7 +164,7 @@ def check_linearity(samples: int = 200) -> PropertyReport:
         rhs = a * fejer_short_sum(f1, x, w) + b * fejer_short_sum(f2, x, w)
         if lhs != rhs:
             failures += 1
-    return _exact_report("I2", samples, failures, "linearity, exact")
+    return _exact_report("I2", samples, failures)
 
 
 def check_expansion_bridge() -> PropertyReport:
@@ -188,7 +186,7 @@ def check_expansion_bridge() -> PropertyReport:
                 instances += 1
                 if lhs != rhs:
                     failures += 1
-    return _exact_report("I3", instances, failures, "expansion bridge, exact, E = 0")
+    return _exact_report("I3", instances, failures)
 
 
 def check_periodicity() -> PropertyReport:
@@ -201,7 +199,7 @@ def check_periodicity() -> PropertyReport:
                 instances += 1
                 if chi_tilde_direct(q, x, w) != chi_tilde_direct(q, x + q, w):
                     failures += 1
-    return _exact_report("I4", instances, failures, "periodicity, exact")
+    return _exact_report("I4", instances, failures)
 
 
 def check_inversion_round_trip(fast: bool = False) -> PropertyReport:
@@ -217,7 +215,7 @@ def check_inversion_round_trip(fast: bool = False) -> PropertyReport:
         instances += 1
         if dirichlet_convolve_unit(mobius_invert(f), max_n) != f:
             failures += 1
-    return _exact_report("arith-round-trip", instances, failures, "Mobius inversion, exact")
+    return _exact_report("arith-round-trip", instances, failures)
 
 
 def check_majorant_transfer() -> PropertyReport:
@@ -294,7 +292,7 @@ def check_expansion_identity(fast: bool = False) -> PropertyReport:
         d = float(chi_tilde_direct(q, x, w))
         worst = max(worst, abs(e - d) / (1.0 + h))
         instances += 1
-    return PropertyReport("P1", instances, worst, worst <= 1e-9, "normalized by (1 + h)")
+    return PropertyReport("P1", instances, worst, worst <= 1e-9)
 
 
 def check_nonnegativity(fast: bool = False) -> PropertyReport:
@@ -348,22 +346,20 @@ def check_parseval(fast: bool = False) -> PropertyReport:
             rhs = 0.25 * coefficient_square_sum(q, FejerWindow(h))
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
             instances += 1
-    return PropertyReport("P4", instances, worst, worst <= 1e-9, "relative")
+    return PropertyReport("P4", instances, worst, worst <= 1e-9)
 
 
 def check_square_sum_bound(fast: bool = False) -> PropertyReport:
     """P5: full square sum <= C * min(1, h/q) with the frozen constant.
 
-    One table over the whole grid (coefficient_square_sums); a seeded
-    sample revalidates it against the coefficient_square_sum operation.
+    Runs the calibration sweep (one table over the whole grid); a seeded
+    sample revalidates its table against the coefficient_square_sum
+    operation.
     """
     q_max = 400 if fast else 2000
     h_max = 40 if fast else 200
-    hs = np.arange(2, h_max + 1, 2)
-    qq = np.arange(2, q_max + 1)
-    c_frozen = calibration.SQUARE_SUM_BOUND_C
-    sums = coefficient_square_sums(q_max, hs)
-    worst = float((sums[:, 2:] / (c_frozen * np.minimum(1.0, hs[:, None] / qq))).max())
+    ratio, _, sums = calibration.square_sum_ratio_sweep(q_max, h_max)
+    worst = ratio / calibration.SQUARE_SUM_BOUND_C
     rng = random.Random(99)
     agree = 0.0
     for _ in range(40 if fast else 160):
@@ -371,10 +367,7 @@ def check_square_sum_bound(fast: bool = False) -> PropertyReport:
         h = rng.randrange(2, h_max + 1, 2)
         op = coefficient_square_sum(q, FejerWindow(h))
         agree = max(agree, abs(op - sums[h // 2 - 1, q]) / (1.0 + op))
-    passed = worst <= 1.0 and agree <= 1e-12
-    return PropertyReport(
-        "P5", hs.size * (q_max - 1), worst, passed, f"ratio to C*min(1,h/q), C={c_frozen}"
-    )
+    return PropertyReport("P5", sums[:, 2:].size, worst, worst <= 1.0 and agree <= 1e-12)
 
 
 def check_ramanujan_triangle(samples: int = 100) -> PropertyReport:
@@ -393,7 +386,7 @@ def check_ramanujan_triangle(samples: int = 100) -> PropertyReport:
                 bigg, ell, q_max
             ):
                 failures += 1
-    return _exact_report("P6", instances, failures, "triangle inequality, exact")
+    return _exact_report("P6", instances, failures)
 
 
 # ----------------------------------------------------------------------
@@ -535,14 +528,8 @@ def check_reconstruction(fast: bool = False) -> tuple[PropertyReport, PropertyRe
         instances += 1
         if rep.direct < 0 or rep.diagonal < 0:
             neg += 1
-    j1 = PropertyReport(
-        "J1",
-        instances,
-        max(worst, worst_big),
-        ok and worst_big <= 1e-6,
-        "relative gap; grid tol 1e-8, randomized tol 1e-6",
-    )
-    j2 = _exact_report("J2", instances, neg, "direct >= 0 and diagonal >= 0")
+    j1 = PropertyReport("J1", instances, max(worst, worst_big), ok and worst_big <= 1e-6)
+    j2 = _exact_report("J2", instances, neg)
     return j1, j2
 
 
@@ -564,7 +551,7 @@ def check_homogeneity(samples: int = 12) -> PropertyReport:
         )
         if scaled != c * c * base:
             failures += 1
-    return _exact_report("J3", samples, failures, "homogeneity, exact")
+    return _exact_report("J3", samples, failures)
 
 
 def check_ramanujan_form() -> PropertyReport:
@@ -583,7 +570,7 @@ def check_ramanujan_form() -> PropertyReport:
         instances += 1
         if direct != bridge:
             failures += 1
-    return _exact_report("J4", instances, failures, "rational bridge form, exact")
+    return _exact_report("J4", instances, failures)
 
 
 def check_power_cutoff_oracle(fast: bool = False) -> PropertyReport:
@@ -615,7 +602,7 @@ def check_power_cutoff_oracle(fast: bool = False) -> PropertyReport:
             instances += 1
             if got != want:
                 failures += 1
-    return _exact_report("J6", instances, failures, "power-cutoff oracle, exact")
+    return _exact_report("J6", instances, failures)
 
 
 # ----------------------------------------------------------------------
@@ -625,24 +612,12 @@ def check_power_cutoff_oracle(fast: bool = False) -> PropertyReport:
 def check_far_part_bound(fast: bool = False) -> PropertyReport:
     """Well-spaced parts: |far_delta| + |far_sigma| <= C_far * A * h.
 
-    Sweeps the canonical grid with A = N and A = N log N; C_far is the
-    frozen calibration constant.
+    Runs the calibration sweep over the canonical grid with A = N and
+    A = N log N; C_far is the frozen calibration constant.
     """
-    c_far = calibration.FAR_PART_BOUND_C
-    worst = 0.0
-    instances = 0
-    for cfg in calibration.reconstruction_grid(n_step=8 if fast else 1):
-        for a in (float(cfg.n), None):
-            c = IntegralConfig(
-                n=cfg.n, h=cfg.h, g=cfg.g, cutoff=cfg.cutoff, a=a, g_name=cfg.g_name
-            )
-            rep = selberg_integral_decomposed(c)
-            far = abs(rep.far_delta) + abs(rep.far_sigma)
-            worst = max(worst, far / (c_far * c.a_value * c.h))
-            instances += 1
-    return PropertyReport(
-        "lemma-far-bound", instances, worst, worst <= 1.0, f"ratio to C_far*A*h, C_far={c_far}"
-    )
+    ratio, _, instances = calibration.far_part_ratio_sweep(n_step=8 if fast else 1)
+    worst = ratio / calibration.FAR_PART_BOUND_C
+    return PropertyReport("lemma-far-bound", instances, worst, worst <= 1.0)
 
 
 def check_exp_sum_bound(samples: int = 1000) -> PropertyReport:
@@ -667,7 +642,7 @@ def check_exp_sum_bound(samples: int = 1000) -> PropertyReport:
                 brute_err, abs(exp_sum_closed_form(alpha, m) - brute) / (1 + abs(brute))
             )
     passed = worst <= 1.0 and brute_err <= 1e-9
-    return PropertyReport("lemma-exp-sum-bound", samples, worst, passed, "ratio to min(N, 1/(2||a||))")
+    return PropertyReport("lemma-exp-sum-bound", samples, worst, passed)
 
 
 def check_taylor_positivity() -> PropertyReport:
@@ -691,8 +666,7 @@ def check_taylor_positivity() -> PropertyReport:
                     instances += 1
                     if exp_sum_closed_form(key, n).real <= 0.0:
                         positive_failures += 1
-    note = f"{found_near} NEAR pairs at A = 8N"
-    rep = _exact_report("J5", instances, positive_failures, note)
+    rep = _exact_report("J5", instances, positive_failures)
     rep.passed = rep.passed and found_near > 0
     return rep
 
@@ -701,38 +675,59 @@ def check_taylor_positivity() -> PropertyReport:
 # growth and performance experiments (acceptance extras)
 # ----------------------------------------------------------------------
 
+H_RULE = "pow:0.4"  # the majorant sweep's default rules: h = N**0.4, rounded down to even
+Q_RULE = "pow:0.3"  # Q = N**0.3 for a fixed cutoff
+
+
+def majorant_sweep(
+    n_values, h_rule: str, q_rule: str, g: str, G: str, cutoff: str | None = None
+):
+    """One majorant comparison of presets g and G per N, in order.
+
+    Rules are pow:EXP (floor(N**EXP), at least 1; h then rounds down to
+    even, at least 2) or const:V. cutoff is a SupportCutoff.parse spec:
+    a bare fixed cutoff (the default) takes Q from q_rule, any other spec
+    names its own support and q_rule is not read. Returns rows
+    ((N, h, Q), MajorantReport) with Q = cutoff.limit(2N + h), the support
+    bound the last window reaches.
+    """
+    rows = []
+    for n in n_values:
+        h = _rule_value(h_rule, n, even=True)
+        q = _rule_value(q_rule, n) if SupportCutoff.takes_q(cutoff) else None
+        cfg = IntegralConfig.from_presets(n, h, g, SupportCutoff.parse(cutoff, q))
+        top = cfg.cutoff.limit(2 * n + h)
+        rows.append(((n, h, top), majorant_compare(cfg, preset_table(G, top), G)))
+    return rows
+
+
+def _rule_value(rule: str, n: int, even: bool = False) -> int:
+    kind, _, value = rule.partition(":")
+    if kind == "pow":
+        v = max(1, power_floor(n, float(value)))
+        return even_floor(v) if even else v
+    if kind == "const":
+        return int(value)
+    raise ValueError(f"bad rule {rule!r}; use pow:EXP or const:V")
+
+
 def majorant_growth_experiment(
     exponents: range = range(10, 17), growth_exponent: float = 0.2
 ):
     """Mean-square ratio growth for g = mobius, G = mobius**2 across N = 2**e.
 
-    Q = floor(N**0.3), h = floor(N**0.4) rounded down to even. The assertion
-    ratio(N) <= ratio(N0) * (N/N0)**growth_exponent is a frozen desk-scale
-    proxy for growth slower than every fixed power; 0.2 is an
-    implementation choice, not a derived constant.
+    The default sweep rules: Q = floor(N**0.3), h = floor(N**0.4) rounded
+    down to even. The assertion ratio(N) <= ratio(N0) * (N/N0)**growth_exponent
+    is a frozen desk-scale proxy for growth slower than every fixed power;
+    0.2 is an implementation choice, not a derived constant.
 
-    Returns (rows, passed, worst_excess) where rows are MajorantReport with
-    bound fields attached.
+    Returns (rows, passed, worst_excess) where rows are (MajorantReport,
+    bound) pairs.
     """
-    rows = []
-    base_ratio = None
-    n0 = 2 ** exponents[0]
-    worst = 0.0
-    for e in exponents:
-        n = 2 ** e
-        h = even_floor(n ** 0.4)
-        q = power_floor(n, 0.3)
-        g = preset_table("mobius", q)
-        big = preset_table("mobius-squared", q)
-        cfg = IntegralConfig(
-            n=n, h=h, g=g, cutoff=SupportCutoff.fixed(q), g_name="mobius"
-        )
-        rep = majorant_compare(cfg, big, "mobius-squared")
-        if base_ratio is None:
-            base_ratio = rep.ratio
-        bound = base_ratio * (n / n0) ** growth_exponent
-        rows.append((rep, bound))
-        worst = max(worst, rep.ratio / bound)
+    sweep = majorant_sweep([2 ** e for e in exponents], H_RULE, Q_RULE, "mobius", "mobius-squared")
+    (n0, _, _), base = sweep[0]
+    rows = [(rep, base.ratio * (n / n0) ** growth_exponent) for (n, _, _), rep in sweep]
+    worst = max(rep.ratio / bound for rep, bound in rows)
     return rows, worst <= 1.0, worst
 
 
@@ -743,8 +738,7 @@ def even_floor(v: float) -> int:
 
 def performance_probe(n: int = 10 ** 6, h: int = 10 ** 3, q: int = 10 ** 3):
     """Time one float direct sweep at scale; returns (seconds, value)."""
-    g = preset_table("mobius", q)
-    cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.fixed(q), g_name="mobius")
+    cfg = IntegralConfig.from_presets(n, h, "mobius", SupportCutoff.fixed(q))
     t0 = time.perf_counter()
     val = selberg_integral_direct(cfg)
     return time.perf_counter() - t0, val

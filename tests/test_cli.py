@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+import msi
 import msi.integral as integral_mod
 from msi.cli import main
 from msi.verify import SUITES
@@ -29,6 +31,24 @@ MOBIUS10_CSV = """n,value
 9,0
 10,1
 """
+
+
+# `msi sweep --n-values 256,512 --cutoff power:0.5`: Q is floor(sqrt(2N + h))
+POWER_SWEEP_ROWS = [
+    "256,8,22,mobius,mobius-squared,121.1834190949439,100.38427652176378,2048.0,0.05640677062259084",
+    "512,12,32,mobius,mobius-squared,245.9559658020567,311.5362081792797,6144.0,0.038100005618499376",
+]
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Every msi binding of preset_table fails: nothing may tabulate g."""
+    def untouchable(*args, **kwargs):
+        raise AssertionError("a table was built before the config check")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("msi") and getattr(mod, "preset_table", None) is not None:
+            monkeypatch.setattr(mod, "preset_table", untouchable)
 
 
 def run(capsys, *argv):
@@ -217,3 +237,54 @@ def test_sweep_bad_cutoff_is_usage_error(tmp_path, capsys):
     assert main(["sweep", "--n-values", "256", "--cutoff", "bogus", "--out", str(out)]) == 2
     assert "bad cutoff 'bogus'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_integral_fixed_q_above_n_plus_h_builds_no_table(capsys, no_tables):
+    code, out, err = run(capsys, "integral", "--n", "256", "--h", "2", "--q", "1000000000", "--g", "unit")
+    assert code == 2
+    assert out == ""
+    assert "exceeds n + h = 258" in err
+
+
+def test_sweep_fixed_q_above_n_plus_h_builds_no_table(tmp_path, capsys, no_tables):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--n-values", "256", "--q-rule", "const:1000000000", "--out", str(out)])
+    assert code == 2
+    assert "exceeds n + h" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_power_cutoff_q_column(capsys):
+    code, out, _ = run(capsys, "sweep", "--n-values", "256,512", "--cutoff", "power:0.5")
+    assert code == 0
+    assert out.splitlines()[1:] == POWER_SWEEP_ROWS
+
+
+@pytest.mark.parametrize("q_rule", ["const:1000000000", "bogus"])
+def test_sweep_power_cutoff_reads_no_q_rule(capsys, q_rule):
+    code, out, _ = run(
+        capsys, "sweep", "--n-values", "256,512", "--cutoff", "power:0.5", "--q-rule", q_rule
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == POWER_SWEEP_ROWS
+
+
+def test_integral_power_cutoff_refuses_q(capsys):
+    code, out, err = run(
+        capsys, "integral", "--n", "256", "--h", "2", "--q", "5", "--g", "unit", "--cutoff", "power:0.5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--q" in err
+
+
+def test_report_types_live_in_their_modules():
+    # trimmed from the package namespace; each stays importable where it is defined
+    from msi.farey import FareyFraction, PairPartition
+    from msi.integral import DecompositionReport, FarPartReport, MajorantReport
+    from msi.spectral import FejerCoefficient, RamanujanTable
+
+    for cls in (FareyFraction, PairPartition, DecompositionReport, FarPartReport,
+                MajorantReport, FejerCoefficient, RamanujanTable):
+        assert cls.__name__ not in msi.__all__
+        assert not hasattr(msi, cls.__name__)

@@ -82,6 +82,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegralConfig(n=8, h=2, g=preset_table("unit", 11), cutoff=SupportCutoff.fixed(11))
 
+    def test_from_presets_matches_explicit_config(self):
+        for cut in (SupportCutoff.fixed(9), SupportCutoff.power(0.5)):
+            cfg = IntegralConfig.from_presets(100, 4, "mobius", cut, a=50.0)
+            top = cut.limit(2 * 100 + 4)
+            assert cfg == IntegralConfig(
+                n=100, h=4, g=preset_table("mobius", top), cutoff=cut, a=50.0, g_name="mobius"
+            )
+
+    def test_from_presets_checks_before_tabulating(self, monkeypatch):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("g tabulated before the config check")
+
+        monkeypatch.setattr(integral_mod, "preset_table", untouchable)
+        for n, h, q in ((256, 2, 10 ** 9), (30, 3, 5), (8, 4, 4)):
+            with pytest.raises(ValueError):
+                IntegralConfig.from_presets(n, h, "unit", SupportCutoff.fixed(q))
+
     def test_default_spacing_parameter(self):
         cfg = IntegralConfig(n=32, h=2, g=preset_table("unit", 4), cutoff=SupportCutoff.fixed(4))
         assert math.isclose(cfg.a_value, 32 * math.log(32))
