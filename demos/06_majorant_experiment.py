@@ -7,17 +7,14 @@ allowance N*h, up to factors smaller than any fixed power of N. The ratio
 j_f / (j_F + N*h) across doublings of N is the desk-scale readout.
 """
 
-from msi import SupportCutoff
 from msi.verify import H_RULE, Q_RULE, majorant_growth_experiment, majorant_sweep
 
 # g = mobius restricted to [1, Q], G = mobius^2: |g| = G on the support.
 rows, ok, worst = majorant_growth_experiment(range(10, 17))
 print("N        h    Q   j_f          j_F          ratio        bound")
-for rep, bound in rows:
-    m = rep.meta
-    q = SupportCutoff.parse(m["cutoff"]).q  # the row's fixed:Q label
+for (n, h, q), rep, bound in rows:
     print(
-        f"{m['n']:<8d} {m['h']:<4d} {q:<3d} "
+        f"{n:<8d} {h:<4d} {q:<3d} "
         f"{rep.j_f:<12.5g} {rep.j_F:<12.5g} {rep.ratio:<12.4e} {bound:.4e}"
     )
 print(f"growth within (N/N0)^0.2 of the base ratio: {ok} (worst excess {worst:.3f})")

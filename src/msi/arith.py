@@ -104,27 +104,20 @@ class SupportCutoff:
 
     @classmethod
     def parse(cls, spec: str | None, q: int | None = None) -> "SupportCutoff":
-        """Inverse of label(); a bare `fixed` (or no spec) is the fixed cutoff at q.
+        """The CLI's --cutoff: `fixed` (or no spec) at q, or `power:THETA`.
 
-        q, the CLI's --q or a sweep's q-rule value, is required by a bare
-        fixed spec and refused by every other spec, so it is never ignored.
+        q, the CLI's --q or a sweep's q-rule value, is required by a fixed
+        cutoff and refused by a power cutoff, so it is never ignored.
         """
-        mode, _, value = (spec or "fixed").partition(":")
-        if mode not in ("fixed", "power"):
+        if spec and spec.startswith("power:"):
+            if q is not None:
+                raise ValueError(f"--q does not apply to the cutoff {spec}")
+            return cls.power(float(spec.split(":", 1)[1]))
+        if spec and spec != "fixed":
             raise ValueError(f"bad cutoff {spec!r}; use fixed or power:THETA")
-        if cls.takes_q(spec) != (q is not None):
-            raise ValueError(
-                f"--q does not apply to the cutoff {spec}" if q is not None
-                else "--q is required for a fixed cutoff"
-            )
-        if mode == "power":
-            return cls.power(float(value))
-        return cls.fixed(int(value) if value else q)
-
-    @staticmethod
-    def takes_q(spec: str | None) -> bool:
-        """True when parse(spec, q) reads q: a bare `fixed` or no spec."""
-        return spec in (None, "fixed")
+        if q is None:
+            raise ValueError("--q is required for a fixed cutoff")
+        return cls.fixed(q)
 
     def limit(self, m: int) -> int:
         """Support bound when the window reaches up to m = x + h."""
@@ -133,7 +126,7 @@ class SupportCutoff:
         return power_floor(m, self.theta)
 
     def label(self) -> str:
-        """fixed:Q or power:THETA, the form the CLI's --cutoff takes."""
+        """fixed:Q or power:THETA, the cutoff as reports name it."""
         if self.mode == "fixed":
             return f"fixed:{self.q}"
         return f"power:{self.theta}"

@@ -686,15 +686,16 @@ def majorant_sweep(
 
     Rules are pow:EXP (floor(N**EXP), at least 1; h then rounds down to
     even, at least 2) or const:V. cutoff is a SupportCutoff.parse spec:
-    a bare fixed cutoff (the default) takes Q from q_rule, any other spec
-    names its own support and q_rule is not read. Returns rows
+    a fixed cutoff (the default) takes Q from q_rule; a power cutoff names
+    its own support and q_rule is not read. Returns rows
     ((N, h, Q), MajorantReport) with Q = cutoff.limit(2N + h), the support
     bound the last window reaches.
     """
+    power = cutoff is not None and cutoff.startswith("power:")
     rows = []
     for n in n_values:
         h = _rule_value(h_rule, n, even=True)
-        q = _rule_value(q_rule, n) if SupportCutoff.takes_q(cutoff) else None
+        q = None if power else _rule_value(q_rule, n)
         cfg = IntegralConfig.from_presets(n, h, g, SupportCutoff.parse(cutoff, q))
         top = cfg.cutoff.limit(2 * n + h)
         rows.append(((n, h, top), majorant_compare(cfg, preset_table(G, top), G)))
@@ -721,13 +722,13 @@ def majorant_growth_experiment(
     is a frozen desk-scale proxy for growth slower than every fixed power;
     0.2 is an implementation choice, not a derived constant.
 
-    Returns (rows, passed, worst_excess) where rows are (MajorantReport,
-    bound) pairs.
+    Returns (rows, passed, worst_excess) where rows are ((N, h, Q),
+    MajorantReport, bound), the majorant_sweep rows with their bounds.
     """
     sweep = majorant_sweep([2 ** e for e in exponents], H_RULE, Q_RULE, "mobius", "mobius-squared")
     (n0, _, _), base = sweep[0]
-    rows = [(rep, base.ratio * (n / n0) ** growth_exponent) for (n, _, _), rep in sweep]
-    worst = max(rep.ratio / bound for rep, bound in rows)
+    rows = [(key, rep, base.ratio * (key[0] / n0) ** growth_exponent) for key, rep in sweep]
+    worst = max(rep.ratio / bound for _, rep, bound in rows)
     return rows, worst <= 1.0, worst
 
 

@@ -75,7 +75,7 @@ def test_c06_farey_suite():
 
 def test_c07_majorant_growth():
     (rows, ok, worst), dt = _timed(verify.majorant_growth_experiment)
-    ratios = ", ".join(f"2^{i + 10}:{rep.ratio:.2e}" for i, (rep, _) in enumerate(rows))
+    ratios = ", ".join(f"2^{i + 10}:{rep.ratio:.2e}" for i, (_, rep, _) in enumerate(rows))
     _line(7, "growth check: ratio(N) <= ratio(2^10) * (N/2^10)^0.2", ok,
           f"{ratios}, {dt:.1f}s")
     assert ok

@@ -33,6 +33,12 @@ MOBIUS10_CSV = """n,value
 """
 
 
+# `msi sweep --n-values 1024,2048`: the default rules and presets, as criterion 7 runs them
+DEFAULT_SWEEP_ROWS = [
+    "1024,16,8,mobius,mobius-squared,5.022471655328799,6.728622448979592,16384.0,0.0003064215002894959",
+    "2048,20,9,mobius,mobius-squared,3.471235827664399,5.75091836734694,40960.0,8.473507136684856e-05",
+]
+
 # `msi sweep --n-values 256,512 --cutoff power:0.5`: Q is floor(sqrt(2N + h))
 POWER_SWEEP_ROWS = [
     "256,8,22,mobius,mobius-squared,121.1834190949439,100.38427652176378,2048.0,0.05640677062259084",
@@ -209,11 +215,11 @@ def test_sweep_defaults_reproduce_growth_rows(tmp_path):
 
     out = tmp_path / "growth.csv"
     assert main(["sweep", "--n-values", "1024,2048", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == DEFAULT_SWEEP_ROWS
     rows, _, _ = majorant_growth_experiment(range(10, 12))
-    got = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    for (rep, _), cells in zip(rows, got):
-        assert float(cells[5]) == rep.j_f
-        assert float(cells[8]) == rep.ratio
+    for (key, rep, _), cells in zip(rows, (r.split(",") for r in DEFAULT_SWEEP_ROWS), strict=True):
+        assert key == tuple(map(int, cells[:3]))
+        assert (rep.j_f, rep.j_F, rep.n_h, rep.ratio) == tuple(map(float, cells[5:]))
 
 
 def test_sweep_custom_rules(tmp_path):
@@ -267,6 +273,13 @@ def test_sweep_power_cutoff_reads_no_q_rule(capsys, q_rule):
     )
     assert code == 0
     assert out.splitlines()[1:] == POWER_SWEEP_ROWS
+
+
+def test_integral_fixed_cutoff_takes_q_from_q_only(capsys):
+    code, out, err = run(capsys, "integral", "--n", "256", "--h", "2", "--g", "unit", "--cutoff", "fixed:7")
+    assert code == 2
+    assert out == ""
+    assert "bad cutoff 'fixed:7'" in err
 
 
 def test_integral_power_cutoff_refuses_q(capsys):
