@@ -13,7 +13,6 @@ of g*1 against that of a pointwise majorant G*1 plus N*h.
 from .arith import (
     FunctionTable,
     SupportCutoff,
-    apply_cutoff,
     dirichlet_convolve_unit,
     divisors,
     essential_bound_probe,
@@ -74,7 +73,6 @@ __all__ = [
     "sieve_divisor_count",
     "dirichlet_convolve_unit",
     "mobius_invert",
-    "apply_cutoff",
     "preset_table",
     "random_rational_table",
     "divisors",

@@ -6,6 +6,7 @@ Provides:
 - divisor-count function d(n) via the harmonic double loop
 - f = g*1 (Dirichlet convolution with unit) and its Mobius inversion
 - support cutoffs, fixed [1, Q] or growing [1, floor((x+h)**theta)]
+- integer scaling of g by its common denominator, for the integer kernels
 
 All table arithmetic is exact (Python ints and fractions.Fraction).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 Rational = Union[int, Fraction]
 
 PRESET_NAMES = ("delta1", "unit", "mobius", "mobius-squared")
+RANDOM_DENOMINATOR = 1000  # of every random:SEED value and every seeded test table
 
 
 class FunctionTable:
@@ -46,11 +48,11 @@ class FunctionTable:
             raise IndexError(f"n={n} outside table domain [1, {self.max_n}]")
         return self.values[n - 1]
 
-    def get(self, n: int, default: Rational = 0) -> Rational:
+    def get(self, n: int) -> Rational:
         """f(n), reading the table as zero outside [1, max_n]."""
         if 1 <= n <= self.max_n:
             return self.values[n - 1]
-        return default
+        return 0
 
     def scale(self, c: Rational) -> "FunctionTable":
         return FunctionTable([c * v for v in self.values])
@@ -229,19 +231,14 @@ def mobius_invert(f: FunctionTable) -> FunctionTable:
     return FunctionTable(g[1:])
 
 
-def apply_cutoff(
-    g: FunctionTable, cutoff: SupportCutoff, x: int, h: int
-) -> FunctionTable:
-    """Zero g outside [1, cutoff.limit(x + h)]; fixed mode ignores x."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    q_max = cutoff.limit(x + h)
-    if q_max >= g.max_n:
-        return g
-    vals = list(g.values)
-    for i in range(q_max, g.max_n):
-        vals[i] = 0
-    return FunctionTable(vals)
+def integer_scaled(g: FunctionTable, top: int) -> tuple[int, list[int]]:
+    """(D, gd): D the common denominator of g on [1, top], gd[n] = D g(n) as ints, gd[0] = 0.
+
+    The integer kernels work on D g and divide by D (or D**2) once at the end.
+    """
+    vals = g.values[:top]
+    den = lcm(*(v.denominator for v in vals))
+    return den, [0] + [v.numerator * (den // v.denominator) for v in vals]
 
 
 def divisors(n: int) -> list[int]:
@@ -255,12 +252,10 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def random_rational_table(max_n: int, seed: int, denominator: int = 1000) -> FunctionTable:
-    """Seeded table of exact rationals in [-1, 1] with the given denominator."""
-    rng = random.Random(seed)
-    return FunctionTable(
-        [Fraction(rng.randint(-denominator, denominator), denominator) for _ in range(max_n)]
-    )
+def random_rational_table(max_n: int, seed: int) -> FunctionTable:
+    """Seeded table of exact rationals in [-1, 1] with denominator RANDOM_DENOMINATOR."""
+    rng, d = random.Random(seed), RANDOM_DENOMINATOR
+    return FunctionTable([Fraction(rng.randint(-d, d), d) for _ in range(max_n)])
 
 
 def preset_table(spec: str, max_n: int) -> FunctionTable:

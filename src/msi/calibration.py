@@ -43,13 +43,11 @@ def square_sum_ratio_sweep(q_max: int = 2000, h_max: int = 200):
     return float(ratio[i, k]), (int(qq[k]), int(hs[i])), sums
 
 
-def reconstruction_grid(
-    n_step: int = 1, preset_every: int = 16
-) -> Iterator[IntegralConfig]:
+def reconstruction_grid(n_step: int = 1) -> Iterator[IntegralConfig]:
     """The canonical fixed-cutoff grid: N <= 200, Q <= 12, even h <= 8.
 
     One seeded random-rational g per (N, h, Q) cell; mobius and unit
-    presets are added on every `preset_every`-th N. The same seeds are used
+    presets are added on every 16th N. The same seeds are used
     by the calibration sweep and the verification suites, so frozen
     constants cover exactly what the suites re-check.
     """
@@ -65,7 +63,7 @@ def reconstruction_grid(
                     n=n, h=h, g=random_rational_table(q, seed=n * 100 + q * 10 + h),
                     cutoff=cut, g_name="random",
                 )
-                if n % preset_every == 0:
+                if n % 16 == 0:
                     yield IntegralConfig.from_presets(n, h, "mobius", cut)
                     yield IntegralConfig.from_presets(n, h, "unit", cut)
 

@@ -154,14 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None, help="fixed support bound (fixed cutoff only)")
     p.add_argument("--g", required=True, help=G_CHOICES)
     p.add_argument("--cutoff", default=None, help="fixed (default) or power:THETA")
-    p.add_argument("--a", type=float, default=None, help="spacing parameter (default N log N)")
+    p.add_argument("--a", type=float, default=None,
+                   help="spacing parameter, finite and > 0 (default N log N)")
     p.add_argument("--decompose", action="store_true",
                    help="also compute the spectral decomposition (fixed cutoff only)")
     p.add_argument("--force", action="store_true",
                    help="ignore the fraction-pair budget")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.add_argument("--csv", action="store_true", help="CSV output (default JSON)")
     p.set_defaults(func=cmd_integral)
 
     p = sub.add_parser("verify", help="run a property suite")

@@ -127,7 +127,6 @@ class PairPartition:
     """Oriented index pairs split at the spacing threshold 1/A."""
 
     mode: str
-    threshold: Fraction  # 1/A
     near: tuple[tuple[int, int], ...]  # key <= 1/A
     far: tuple[tuple[int, int], ...]  # key > 1/A
 
@@ -157,4 +156,4 @@ def spaced_pair_partition(
             v = seq[k]
             key = delta_key(u, v) if mode == "difference" else sigma_key(u, v)
             (near if key <= threshold else far).append((i, k))
-    return PairPartition(mode, threshold, tuple(near), tuple(far))
+    return PairPartition(mode, tuple(near), tuple(far))

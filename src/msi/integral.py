@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .arith import FunctionTable, Rational, SupportCutoff, preset_table
+from .arith import FunctionTable, Rational, SupportCutoff, integer_scaled, preset_table
 from .farey import farey_columns, farey_count
 from .short_sums import FejerWindow
 from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficient_square_sum
@@ -57,7 +57,8 @@ class IntegralConfig:
     n: sweep range is x in (n, 2n]; h: even window half-width, at most n/4
     (h = 2, the smallest admissible window, is always allowed); cutoff:
     support restriction for g, with fixed Q <= n + h; a: spacing parameter
-    separating nearby from well-spaced fraction pairs, default n*log(n).
+    separating nearby from well-spaced fraction pairs, finite and above 0,
+    default n*log(n).
     The table g is read through the cutoff, never beyond.
     """
 
@@ -69,11 +70,11 @@ class IntegralConfig:
     g_name: str = "custom"
 
     def __post_init__(self):
-        self.check(self.n, self.h, self.cutoff)
+        self.check(self.n, self.h, self.cutoff, self.a)
 
     @staticmethod
-    def check(n: int, h: int, cutoff: SupportCutoff) -> None:
-        """Raise ValueError unless (n, h, cutoff) is an admissible config shape."""
+    def check(n: int, h: int, cutoff: SupportCutoff, a: float | None) -> None:
+        """Raise ValueError unless (n, h, cutoff, a) is an admissible config shape."""
         FejerWindow(h)  # validates h even, >= 2
         if h > 2 and 4 * h > n:
             raise ValueError(f"h={h} too large for n={n}: need h <= n/4")
@@ -81,6 +82,8 @@ class IntegralConfig:
             raise ValueError("n must be at least 4")
         if cutoff.mode == "fixed" and cutoff.q > n + h:
             raise ValueError(f"fixed cutoff Q={cutoff.q} exceeds n + h = {n + h}")
+        if a is not None and not (a > 0 and math.isfinite(a)):
+            raise ValueError(f"spacing parameter A={a} must be finite and above 0")
 
     @classmethod
     def from_presets(
@@ -90,7 +93,7 @@ class IntegralConfig:
 
         The shape is checked first, so a bad config never tabulates g.
         """
-        cls.check(n, h, cutoff)
+        cls.check(n, h, cutoff, a)
         g = preset_table(g_name, cutoff.limit(2 * n + h))
         return cls(n=n, h=h, g=g, cutoff=cutoff, a=a, g_name=g_name)
 
@@ -143,7 +146,6 @@ class MajorantReport:
     j_F: float
     n_h: float
     ratio: float
-    meta: dict = field(compare=False)
 
 
 def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[float, Rational]:
@@ -184,9 +186,7 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
     n, h, cutoff = cfg.n, cfg.h, cfg.cutoff
     q_top = min(cutoff.limit(2 * n + h), cfg.g.max_n)
     q0 = min(cutoff.limit(n + h + 1), q_top)
-    vals = cfg.g.values[:q_top]
-    den = math.lcm(*(v.denominator for v in vals))
-    gd = [0] + [v.numerator * (den // v.denominator) for v in vals]
+    den, gd = integer_scaled(cfg.g, q_top)
     if (2 * n + 2 * h) * h * sum(map(abs, gd)) >= 2 ** 63:
         raise ResourceBudgetError(
             f"N={n}, h={h} and g (common denominator {den}) exceed the int64 range "
@@ -540,7 +540,7 @@ def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
     return near
 
 
-def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartReport:
+def far_part_bound_check(cfg: IntegralConfig) -> FarPartReport:
     """Well-spaced parts against A*h, with the successive majorants alongside.
 
     Reports |far_delta| + |far_sigma|, its ratio to A*h, and the majorant
@@ -548,14 +548,14 @@ def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartRep
     * harmonic factor, where scale is the squared worst l*|R_l| and the
     harmonic factor 2*H(K) counts the K enumerated fractions.
     """
-    rep = selberg_integral_decomposed(cfg, force=force)
+    rep = selberg_integral_decomposed(cfg)
     far_abs = abs(rep.far_delta) + abs(rep.far_sigma)
     a_val = cfg.a_value
     ah = a_val * cfg.h
     q_max = cfg.cutoff.q
     w = cfg.window
     sq = fsum(coefficient_square_sum(ell, w, reduced_only=True) for ell in range(2, q_max + 1))
-    k = farey_count(q_max) if q_max >= 2 else 0
+    k = rep.pairs["fractions"]
     harmonic = 2.0 * fsum(1.0 / i for i in range(1, k + 1)) if k else 0.0
     ratios = _ramanujan_ratios(cfg.g, q_max)[1:]  # ell >= 2
     scale = max((abs(a / b) * ell for ell, (a, b) in enumerate(ratios, 2)), default=0.0)
@@ -574,9 +574,7 @@ def far_part_bound_check(cfg: IntegralConfig, force: bool = False) -> FarPartRep
     )
 
 
-def majorant_compare(
-    cfg: IntegralConfig, g_major: FunctionTable, major_name: str = "custom"
-) -> MajorantReport:
+def majorant_compare(cfg: IntegralConfig, g_major: FunctionTable) -> MajorantReport:
     """Both mean squares for g and its pointwise majorant G, plus the ratio.
 
     Requires |g(n)| <= G(n) wherever both are nonzero within the cutoff
@@ -593,21 +591,11 @@ def majorant_compare(
                 f"majorant violated at n={n_}: |g({n_})| = {abs(gv)} > G({n_}) = {Gv}"
             )
     j_f = selberg_integral_direct(cfg)
-    cfg_major = IntegralConfig(
-        n=cfg.n, h=cfg.h, g=g_major, cutoff=cfg.cutoff, a=cfg.a, g_name=major_name
-    )
-    j_big = selberg_integral_direct(cfg_major)
+    j_big = selberg_integral_direct(IntegralConfig(n=cfg.n, h=cfg.h, g=g_major, cutoff=cfg.cutoff))
     n_h = float(cfg.n) * cfg.h
     return MajorantReport(
         j_f=j_f,
         j_F=j_big,
         n_h=n_h,
         ratio=j_f / (j_big + n_h),
-        meta={
-            "n": cfg.n,
-            "h": cfg.h,
-            "cutoff": cfg.cutoff.label(),
-            "g": cfg.g_name,
-            "G": major_name,
-        },
     )

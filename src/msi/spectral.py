@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .arith import FunctionTable, Rational
+from .arith import FunctionTable, Rational, integer_scaled
 from .short_sums import FejerWindow
 
 
@@ -166,9 +166,7 @@ def _ramanujan_ratios(g: FunctionTable, q_max: int) -> list[tuple[int, int]]:
     division a / b is the correctly rounded float of R_ell.
     """
     top = min(q_max, g.max_n)
-    vals = g.values[:top]
-    den = math.lcm(*(v.denominator for v in vals))
-    gd = [0] + [v.numerator * (den // v.denominator) for v in vals]
+    den, gd = integer_scaled(g, top)
     ratios = [(0, 1)] * q_max
     lcm_k, k_done = 1, 0
     for ell in range(top, 0, -1):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from msi.arith import (
     FunctionTable,
     SupportCutoff,
-    apply_cutoff,
     dirichlet_convolve_unit,
     divisors,
     essential_bound_probe,
@@ -110,16 +109,6 @@ class TestMobiusInvert:
 
 
 class TestCutoffs:
-    def test_fixed_beyond_support_is_identity(self):
-        g = random_rational_table(20, seed=1)
-        assert apply_cutoff(g, SupportCutoff.fixed(20), 5, 2) == g
-
-    def test_power_half_at_100(self):
-        g = preset_table("unit", 60)
-        cut = apply_cutoff(g, SupportCutoff.power(0.5), 98, 2)  # x + h = 100
-        assert all(cut[n] == 1 for n in range(1, 11))
-        assert all(cut[n] == 0 for n in range(11, 61))
-
     def test_power_limit_nondecreasing(self):
         cut = SupportCutoff.power(0.5)
         vals = [cut.limit(m) for m in range(1, 3000)]

@@ -149,6 +149,24 @@ def test_usage_error_missing_q(capsys):
     assert "--q" in err
 
 
+@pytest.mark.parametrize("a", ["0", "inf", "-1", "nan"])
+def test_usage_error_bad_spacing_parameter(capsys, a):
+    code, out, err = run(
+        capsys, "integral", "--n", "30", "--h", "2", "--q", "5", "--g", "mobius",
+        "--decompose", "--a", a,
+    )
+    assert code == 2
+    assert out == ""
+    assert "spacing parameter" in err
+
+
+def test_integral_has_no_json_flag():
+    # JSON is the default output and has no flag of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["integral", "--n", "30", "--h", "2", "--q", "5", "--g", "mobius", "--json"])
+    assert exc.value.code == 2
+
+
 def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

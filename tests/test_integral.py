@@ -27,7 +27,7 @@ from msi.integral import (
     selberg_integral_decomposed,
     selberg_integral_direct,
 )
-from msi.short_sums import FejerWindow, mean_value
+from msi.short_sums import FejerWindow, chi_tilde_direct, mean_value
 from msi.spectral import exp_sum_closed_form, fejer_kernel_value, ramanujan_coefficient
 
 
@@ -98,6 +98,18 @@ class TestConfig:
         for n, h, q in ((256, 2, 10 ** 9), (30, 3, 5), (8, 4, 4)):
             with pytest.raises(ValueError):
                 IntegralConfig.from_presets(n, h, "unit", SupportCutoff.fixed(q))
+
+    @pytest.mark.parametrize("a", [0, -1.0, math.inf, math.nan])
+    def test_spacing_parameter_finite_and_positive(self, a, monkeypatch):
+        with pytest.raises(ValueError, match="spacing parameter"):
+            IntegralConfig(n=30, h=2, g=preset_table("mobius", 5), cutoff=SupportCutoff.fixed(5), a=a)
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("g tabulated before the config check")
+
+        monkeypatch.setattr(integral_mod, "preset_table", untouchable)
+        with pytest.raises(ValueError, match="spacing parameter"):
+            IntegralConfig.from_presets(30, 2, "mobius", SupportCutoff.fixed(5), a=a)
 
     def test_default_spacing_parameter(self):
         cfg = IntegralConfig(n=32, h=2, g=preset_table("unit", 4), cutoff=SupportCutoff.fixed(4))
@@ -203,6 +215,15 @@ class TestDirect:
 
 
 class TestPowerCutoff:
+    def test_multiple_counts_are_the_windowed_counts(self):
+        # the integer table behind the power-cutoff sweep and P1/P4, against the exact chi_tilde
+        for q in range(1, 41):
+            for h in range(2, 13, 2):
+                t = integral_mod._multiple_counts(q, h)
+                for x in range(h + 1, h + 1 + q):
+                    want = chi_tilde_direct(q, x, FejerWindow(h))
+                    assert Fraction(int(t[x % q]), h) - Fraction(h, q) == want
+
     def test_exact_equals_literal_oracle(self):
         n, h = 20, 2
         g = random_rational_table(7, seed=15)
@@ -600,7 +621,7 @@ class TestMajorantCompare:
     def test_equal_functions_ratio_below_one(self):
         g = preset_table("mobius-squared", 8)
         cfg = IntegralConfig(n=32, h=2, g=g, cutoff=SupportCutoff.fixed(8), g_name="mobius-squared")
-        rep = majorant_compare(cfg, g, "mobius-squared")
+        rep = majorant_compare(cfg, g)
         assert rep.j_f == rep.j_F
         assert rep.ratio <= 1.0
         assert rep.n_h == 64.0
@@ -617,12 +638,15 @@ class TestMajorantCompare:
         g = preset_table("mobius", 8)  # g(2) = -1
         bigg = preset_table("delta1", 8)  # G(2) = 0
         cfg = IntegralConfig(n=32, h=2, g=g, cutoff=SupportCutoff.fixed(8), g_name="mobius")
-        rep = majorant_compare(cfg, bigg, "delta1")
+        rep = majorant_compare(cfg, bigg)
         assert rep.ratio >= 0.0
 
     def test_report_only_unit_majorant(self):
-        # cautionary case: G = 1 gives a trivial comparison integral; report, no assertion
+        # cautionary case: G = 1 is a valid but trivial majorant; its own mean square swamps g's
         g = preset_table("random:42", 8)
         cfg = IntegralConfig(n=32, h=2, g=g, cutoff=SupportCutoff.fixed(8), g_name="random:42")
-        rep = majorant_compare(cfg, preset_table("unit", 8), "unit")
-        assert rep.meta["G"] == "unit"
+        rep = majorant_compare(cfg, preset_table("unit", 8))
+        assert rep.j_F == pytest.approx(42722 / 1225, rel=1e-12)  # 34.875
+        assert rep.j_f == pytest.approx(9269573973 / 1225000000, rel=1e-12)  # 7.567
+        assert rep.j_F > rep.j_f
+        assert rep.ratio == rep.j_f / (rep.j_F + rep.n_h) < 0.08
