@@ -17,6 +17,7 @@ ties delta = 1/A landing NEAR; the strict > side is FAR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -143,11 +144,14 @@ def spaced_pair_partition(
     and equal-valued pairs belong to the diagonal, never to this partition.
     difference mode keys on delta, wrapped_sum mode on sigma; the threshold
     comparison is exact.
+
+    Raises:
+        ValueError: for an unknown mode, or unless A is finite and above 0.
     """
     if mode not in PAIR_MODES:
         raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
-    if not a > 0:
-        raise ValueError("spacing parameter A must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"spacing parameter A={a} must be finite and above 0")
     threshold = 1 / Fraction(a)
     near: list[tuple[int, int]] = []
     far: list[tuple[int, int]] = []

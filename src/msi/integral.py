@@ -36,6 +36,7 @@ PAIR_BUDGET = 10 ** 7
 MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
 PAIR_BLOCK = 1 << 13  # oriented pairs per row block; both modes' x-sums run on twice as many
 SWEEP_BLOCK = 1 << 16  # centers per block of the direct sweep, at least 16 Q0
+_NEAR_PARTS, _FAR_PARTS = np.array([[0], [1]]), np.array([[2], [3]])  # delta, sigma rows
 PAIR_COUNTERS = (
     "fractions",
     "near_difference",
@@ -468,14 +469,17 @@ def _pair_sums(
     Oriented pairs i > k of the ascending sequence go in row blocks of at
     most PAIR_BLOCK pairs. Keys are p / r with r = den_i den_k and
     p = num_i den_k -/+ num_k den_i (sigma folded to min(p, r - p), the
-    sigma_key of spaced_pair_partition). Each part carries the exact sum
-    of its blocks as a few partials, so it equals one fsum over all its
-    terms whatever the block size.
+    sigma_key of spaced_pair_partition). Every block but the last adds its
+    terms to exact per-part exponent buckets (_ExactSums); the last block
+    and the buckets go into one math.fsum per part, so each part equals one
+    fsum over all its terms whatever the block size, and a decomposition of
+    one block is four plain fsums.
     """
     threshold = 1 / Fraction(a)
     m = num.size
     nonzero = w != 0.0
-    carry: list[list[float]] = [[], [], [], []]
+    carry = _ExactSums(4)
+    parts = (0.0, 0.0, 0.0, 0.0)
     counts = dict.fromkeys(PAIR_COUNTERS, 0)
     counts["fractions"] = m
     counts["zero_weight_fractions"] = int(m - np.count_nonzero(nonzero))
@@ -501,28 +505,90 @@ def _pair_sums(
         keep = nonzero[ii] & nonzero[kk]
         wp = w[ii[keep]] * w[kk[keep]]
         r = r[keep]
-        term_d, term_s = wp * _x_sum_array(np.stack((dp[keep], sp[keep])), r, n)
+        terms = wp * _x_sum_array(np.stack((dp[keep], sp[keep])), r, n)
         near_d, near_s = near_d[keep], near_s[keep]
-        blocks = (term_d[near_d], term_s[near_s], term_d[~near_d], term_s[~near_s])
-        for j, terms in enumerate(blocks):
-            carry[j] = _exact_partials(carry[j] + terms.tolist())
-    return tuple(fsum(c) for c in carry), counts
+        if i0 + rows_per_block < m:
+            carry.add(terms, np.where(np.stack((near_d, near_s)), _NEAR_PARTS, _FAR_PARTS))
+        else:
+            term_d, term_s = terms
+            blocks = (term_d[near_d], term_s[near_s], term_d[~near_d], term_s[~near_s])
+            parts = tuple(carry.total(j, t) for j, t in enumerate(blocks))
+    return parts, counts
 
 
-def _exact_partials(values: list[float]) -> list[float]:
-    """A few floats whose exact sum is the exact sum of values.
+class _ExactSums:
+    """Exact per-part sums of float64 terms, carried in a fixed set of int64 buckets.
 
-    The first is fsum(values); each next one rounds what the previous
-    ones leave, until nothing does.
+    np.frexp writes a finite term as mant * 2**(e - 53) with mant an
+    integer below 2**53; e is raised to at least -1021, so a subnormal is an
+    integer times 2**-1074 as well. add() splits mant = hi * 2**26 + lo with
+    0 <= lo < 2**26 and sums hi and lo per (e, part) with one np.bincount
+    each: a block's bucket sums are integers below 2**53, exact in float64,
+    and go into int64 accumulators, exact up to 2**36 terms per part. There
+    is one bucket per exponent, so the carry does not grow with the number
+    of blocks. total() writes each accumulator as two exact floats, and one
+    math.fsum over them and the part's remaining terms is the correctly
+    rounded exact sum: the float of one fsum over all the part's terms.
+    Non-finite terms are carried as their plain float sum, so such a part
+    stays non-finite; a bucket whose value leaves the float range raises
+    OverflowError, as fsum does on intermediate overflow.
     """
-    out: list[float] = []
-    s = fsum(values)
-    while s != 0.0:
-        out.append(s)
-        if not math.isfinite(s):
-            break
-        s = fsum(values + [-x for x in out])
-    return out
+
+    E_MIN, E_MAX = -1021, 1024  # np.frexp exponents of the finite doubles, subnormals raised
+
+    def __init__(self, parts: int):
+        self.parts = parts
+        self.acc = None  # hi and lo sums per (e, part), from the first add() on
+        self.special = np.zeros(parts)  # plain sum of each part's non-finite terms
+
+    def add(self, terms: np.ndarray, labels: np.ndarray) -> None:
+        """Add each term to the part its label names (0 <= label < parts, same shape).
+
+        At most 2**26 - 1 terms per call.
+        """
+        if terms.size >= 1 << 26:
+            raise ValueError("at most 2**26 - 1 terms per call")
+        terms, labels = terms.ravel(), labels.ravel()
+        if self.acc is None:
+            self.acc = np.zeros((2, (self.E_MAX - self.E_MIN + 1) * self.parts), dtype=np.int64)
+        finite = np.isfinite(terms)
+        if not finite.all():
+            with np.errstate(invalid="ignore"):  # inf - inf is nan, non-finite as it should be
+                np.add.at(self.special, labels[~finite], terms[~finite])
+            terms = np.where(finite, terms, 0.0)
+        e = np.frexp(terms)[1]
+        np.maximum(e, self.E_MIN, out=e)
+        mant = np.ldexp(terms, 53 - e)
+        hi = np.floor(np.ldexp(mant, -26))
+        lo = np.subtract(mant, hi * (1 << 26), out=mant)
+        base = int(e.min(initial=self.E_MAX))
+        e -= base
+        idx = labels + e * self.parts  # buckets from exponent base on
+        start = (base - self.E_MIN) * self.parts
+        for acc, v in zip(self.acc, (hi, lo)):
+            sums = np.bincount(idx, v)
+            acc[start:start + sums.size] += sums.astype(np.int64)
+
+    def total(self, part: int, tail=()) -> float:
+        """One math.fsum over the part's added terms and the floats of tail."""
+        tail = np.asarray(tail, dtype=np.float64).tolist()
+        if self.acc is None:
+            return fsum(tail)
+        hi, lo = self.acc[:, part::self.parts]
+        e = np.arange(self.E_MIN, self.E_MAX + 1)
+        low = (1 << 26) - 1
+        with np.errstate(over="ignore"):
+            pieces = np.concatenate([
+                np.ldexp((hi >> 26).astype(np.float64), e - 1),  # hi sums weigh 2**(e - 27)
+                np.ldexp((hi & low).astype(np.float64), e - 27),
+                np.ldexp((lo >> 26).astype(np.float64), e - 27),  # lo sums weigh 2**(e - 53)
+                np.ldexp((lo & low).astype(np.float64), e - 53),
+            ])
+        pieces = pieces[pieces != 0.0]
+        if not np.isfinite(pieces).all():
+            raise OverflowError("intermediate overflow in exact sum")
+        special = self.special[part]
+        return fsum(pieces.tolist() + ([special] if special else []) + tail)
 
 
 def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -139,6 +140,11 @@ class TestPartition:
             spaced_pair_partition(seq, 2, "nope")
         with pytest.raises(ValueError):
             spaced_pair_partition(seq, 0, "difference")
+
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan, 0, -1])
+    def test_a_must_be_finite_and_positive(self, a):
+        with pytest.raises(ValueError, match="finite and above 0"):
+            spaced_pair_partition(farey_enumerate(5), a)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 30), st.floats(min_value=0.5, max_value=1e6))

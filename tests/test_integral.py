@@ -533,6 +533,26 @@ class TestPairKernelOracle:
         assert blocked == whole
         assert blocked.pairs == whole.pairs
 
+    @pytest.mark.parametrize(
+        "n, h, q, g, a",
+        [(5000, 16, 48, "mobius", None), (256, 4, 40, "mobius-squared", 256.0)],
+        ids=["decompose", "near-pairs"],
+    )
+    def test_block_size_does_not_change_the_bits_at_scale(self, monkeypatch, n, h, q, g, a):
+        cfg = IntegralConfig.from_presets(n, h, g, SupportCutoff.fixed(q), a)
+        fields = ("diagonal", "near_delta", "near_sigma", "far_delta", "far_sigma", "total")
+        runs, default = [], integral_mod.PAIR_BLOCK
+        # one row per block; the default (16 and 8 blocks here); one block, reduced by fsum alone
+        for block in (5, default, 10 ** 9):
+            monkeypatch.setattr(integral_mod, "PAIR_BLOCK", block)
+            rep = selberg_integral_decomposed(cfg)
+            runs.append(([getattr(rep, f).hex() for f in fields], rep.pairs))
+        assert runs[0] == runs[1] == runs[2]
+        pairs = runs[0][1]
+        assert pairs["far_difference"] + pairs["near_difference"] > 3 * default
+        if a is not None:
+            assert pairs["near_difference"] > 0
+
     def test_no_pair_block_without_pairs(self, monkeypatch):
         # Q = 2: the one fraction 1/2 has no partner, and its weight F_h(1/2) is 0 for even h
         cfg = IntegralConfig(n=16, h=2, g=random_rational_table(2, seed=4), cutoff=SupportCutoff.fixed(2))
@@ -569,6 +589,94 @@ class TestPairKernelOracle:
             cfg = IntegralConfig(n=60, h=2, g=random_rational_table(q, seed=q), cutoff=SupportCutoff.fixed(q), a=a)
             assert float(1 / Fraction(a)) in (1 / 7, 1 / 13)
             assert_matches_reference(cfg)
+
+
+def carried_sums(terms, labels, parts, cut):
+    """_ExactSums totals per part: terms[:cut] added in two calls, the rest as each part's tail."""
+    sums = integral_mod._ExactSums(parts)
+    half = cut // 2
+    sums.add(terms[:half], labels[:half])
+    sums.add(terms[half:cut], labels[half:cut])
+    tail, tail_labels = terms[cut:], labels[cut:]
+    return [sums.total(j, tail[tail_labels == j]) for j in range(parts)]
+
+
+def fsums(terms, labels, parts):
+    return [math.fsum(terms[labels == j].tolist()) for j in range(parts)]
+
+
+def spread_terms():
+    rng = np.random.default_rng(5)
+    powers = 2.0 ** np.arange(-1000, 1001, 7)
+    return powers * rng.choice([-1.0, 1.0], powers.size) * (1 + rng.random(powers.size))
+
+
+def random_terms():
+    rng = np.random.default_rng(11)
+    return rng.standard_normal(20_000) * 10.0 ** rng.integers(-12, 12, 20_000)
+
+
+def subnormal_terms():
+    tiny = [5e-324, -5e-324, 2.0 ** -1022, 2.0 ** -1021, -3e-320, 12345 * 2.0 ** -1074, 2.0 ** -1023]
+    return np.array(tiny * 3 + [1e-300, -1e-300, 2.0 ** -1000])
+
+
+class TestExactSums:
+    """_ExactSums equals one math.fsum per part, bit for bit, wherever the blocks are cut."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            np.array([]),
+            np.array([3.7]),
+            np.zeros(10),
+            np.array([2.0 ** 60, 1.0, -(2.0 ** 60)]),
+            spread_terms(),
+            np.full(10 ** 5, 0.1),
+            random_terms(),
+            subnormal_terms(),
+        ],
+        ids=["empty", "single", "zeros", "cancellation", "spread", "copies", "random", "subnormal"],
+    )
+    def test_equals_one_fsum_per_part(self, terms):
+        rng = np.random.default_rng(terms.size)
+        for parts in (1, 4):
+            labels = rng.permutation(np.arange(terms.size) % parts)
+            want = [x.hex() for x in fsums(terms, labels, parts)]
+            for cut in {0, terms.size // 3, terms.size}:
+                got = [x.hex() for x in carried_sums(terms, labels, parts, cut)]
+                assert got == want, (parts, cut)
+
+    @pytest.mark.parametrize(
+        "bad, check", [(math.inf, math.isinf), (-math.inf, math.isinf), (math.nan, math.isnan)]
+    )
+    def test_non_finite_terms_give_a_non_finite_part(self, bad, check):
+        terms = np.array([1.0, bad, 2.5, -4.0])
+        labels = np.array([0, 0, 1, 1])
+        for cut in (0, 2, 4):
+            got = carried_sums(terms, labels, 2, cut)
+            assert check(got[0])
+            assert got[1] == -1.5
+
+    def test_opposite_infinities_in_two_blocks_are_not_finite(self):
+        sums = integral_mod._ExactSums(1)
+        sums.add(np.array([math.inf, 1.0]), np.zeros(2, dtype=np.int64))
+        sums.add(np.array([-math.inf]), np.zeros(1, dtype=np.int64))
+        assert math.isnan(sums.total(0))
+
+    def test_overflowing_bucket_raises(self):
+        big = np.finfo(np.float64).max
+        sums = integral_mod._ExactSums(1)
+        sums.add(np.array([big, big]), np.zeros(2, dtype=np.int64))
+        with pytest.raises(OverflowError):
+            sums.total(0, [-big])
+        with pytest.raises(OverflowError):
+            math.fsum([big, big, -big])
+
+    def test_refuses_blocks_it_cannot_sum_exactly(self):
+        terms = np.broadcast_to(1.0, (1 << 26,))  # no memory behind it: refused before any pass
+        with pytest.raises(ValueError, match="2\\*\\*26"):
+            integral_mod._ExactSums(1).add(terms, np.broadcast_to(0, terms.shape))
 
 
 class TestFarPartReport:
