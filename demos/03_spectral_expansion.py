@@ -13,10 +13,9 @@ from msi import (
     chi_tilde_direct,
     chi_tilde_expansion,
     coefficient_square_sum,
-    fejer_coefficient,
     fejer_kernel_value,
     preset_table,
-    ramanujan_table,
+    ramanujan_coefficient,
 )
 from msi.calibration import SQUARE_SUM_BOUND_C
 
@@ -27,9 +26,9 @@ for beta in (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)):
     print(f"F_2({beta}) = {fejer_kernel_value(beta, w):.6f}")
 
 # Coefficients inherit the kernel's sign and scale like c_{dj,dq} = c_{j,q}/d
-c13 = fejer_coefficient(1, 3, w)
-c26 = fejer_coefficient(2, 6, w)
-print(f"c_(1,3) = {c13.value:.6f}, c_(2,6) = {c26.value:.6f} (= c_(1,3)/2)")
+c13 = fejer_kernel_value(Fraction(1, 3), w) / 3
+c26 = fejer_kernel_value(Fraction(2, 6), w) / 6
+print(f"c_(1,3) = {c13:.6f}, c_(2,6) = {c26:.6f} (= c_(1,3)/2)")
 
 # Expansion vs direct count, one full period past the clamped zone
 q, h = 12, 2
@@ -55,5 +54,4 @@ for q, h in ((40, 2), (40, 20), (1000, 8)):
 
 # Ramanujan coefficients of g*1 for finitely supported g are finite exact sums
 g = preset_table("mobius", 12)
-table = ramanujan_table(g, 12)
-print("R_l(mobius*1), l = 1..12:", [str(table[ell]) for ell in range(1, 13)])
+print("R_l(mobius*1), l = 1..12:", [str(ramanujan_coefficient(g, ell, 12)) for ell in range(1, 13)])

@@ -26,11 +26,10 @@ from .arith import (
     write_csv,
 )
 from .farey import (
-    delta_key,
-    farey_enumerate,
+    farey_columns,
     farey_full,
     min_gap,
-    sigma_key,
+    pair_key,
     spaced_pair_partition,
 )
 from .integral import (
@@ -54,10 +53,8 @@ from .spectral import (
     chi_tilde_expansion,
     coefficient_square_sum,
     exp_sum_closed_form,
-    fejer_coefficient,
     fejer_kernel_value,
     ramanujan_coefficient,
-    ramanujan_table,
 )
 
 __version__ = "0.1.0"
@@ -85,16 +82,13 @@ __all__ = [
     "mean_value",
     "chi_tilde_direct",
     "fejer_kernel_value",
-    "fejer_coefficient",
     "chi_tilde_expansion",
     "coefficient_square_sum",
     "ramanujan_coefficient",
-    "ramanujan_table",
-    "farey_enumerate",
+    "farey_columns",
     "farey_full",
     "min_gap",
-    "delta_key",
-    "sigma_key",
+    "pair_key",
     "spaced_pair_partition",
     "selberg_integral_direct",
     "selberg_integral_decomposed",

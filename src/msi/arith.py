@@ -265,6 +265,8 @@ def preset_table(spec: str, max_n: int) -> FunctionTable:
     These cover the majorant hypotheses |g| <= mu**2 and |g| <= 1 as well as
     the degenerate delta1 case.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     if spec == "delta1":
         return FunctionTable([1] + [0] * (max_n - 1))
     if spec == "unit":

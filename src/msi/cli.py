@@ -11,7 +11,7 @@ import json
 import sys
 
 from .arith import SupportCutoff, preset_table, sieve_divisor_count, write_csv
-from .farey import farey_enumerate
+from .farey import farey_columns
 from .integral import (
     IntegralConfig,
     ResourceBudgetError,
@@ -44,16 +44,14 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_farey(args) -> int:
-    seq = farey_enumerate(args.q)
+    num, den = farey_columns(args.q)
+    row = "{},{},{!r}\n" if args.csv else "{}/{}\t{!r}\n"
     stream, close = _open_out(args.out)
     try:
         if args.csv:
             stream.write("num,den,value\n")
-            for fr in seq:
-                stream.write(f"{fr.num},{fr.den},{float(fr.value)!r}\n")
-        else:
-            for fr in seq:
-                stream.write(f"{fr.num}/{fr.den}\t{float(fr.value)!r}\n")
+        for a, b in zip(num.tolist(), den.tolist()):
+            stream.write(row.format(a, b, a / b))  # int division: the correctly rounded a/b
     finally:
         if close:
             stream.close()

@@ -4,15 +4,14 @@ farey_columns(Q) gives the reduced fractions j/l with 1 < l <= Q in
 (0, 1/2], ascending, as int64 num/den columns: the frequency set of the
 spectral expansion. They are generated with the classical next-term
 recurrence of the ambient order-Q sequence, so neighbor unimodularity
-(b*c - a*d = 1) and the gap law 1/(b*d) come for free. farey_enumerate(Q)
-is the same sequence as FareyFraction tuples, for the CLI and the exact
-oracles.
+(b*c - a*d = 1) and the gap law 1/(b*d) come for free.
 
-spaced_pair_partition splits oriented pairs by their separation against a
-threshold 1/A: difference mode keys on delta = left - right > 0, wrapped_sum
-mode on sigma = distance of left + right to the nearest integer. All
-comparisons are exact rational arithmetic (floats convert exactly), with
-ties delta = 1/A landing NEAR; the strict > side is FAR.
+The exact oracles min_gap and spaced_pair_partition read the same columns
+and build Fractions once per call. pair_key keys an oriented pair u > v:
+difference mode on delta = u - v > 0, wrapped_sum mode on sigma = distance
+of u + v to the nearest integer. spaced_pair_partition splits the pairs
+against the threshold 1/A in exact rational arithmetic (floats convert
+exactly), with ties key = 1/A landing NEAR; the strict > side is FAR.
 """
 
 from __future__ import annotations
@@ -20,22 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 PAIR_MODES = ("difference", "wrapped_sum")
-
-
-class FareyFraction(NamedTuple):
-    """A reduced fraction num/den; a plain (num, den) tuple, so immutable and hashable."""
-
-    num: int
-    den: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
 
 def _walk(q: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,12 +62,6 @@ def farey_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
     return num[1:], den[1:]
 
 
-def farey_enumerate(q: int) -> tuple[FareyFraction, ...]:
-    """farey_columns(q) as FareyFraction tuples."""
-    num, den = farey_columns(q)
-    return tuple(map(FareyFraction, num.tolist(), den.tolist()))
-
-
 def farey_count(q: int) -> int:
     """len(farey_columns(q)[0]) without enumerating: (1 + sum_{2<=l<=q} phi(l)) / 2.
 
@@ -98,29 +80,31 @@ def farey_count(q: int) -> int:
     return (1 + sum(phi[2:])) // 2
 
 
-def min_gap(seq: Sequence[FareyFraction]) -> Fraction:
-    """Smallest difference of consecutive fractions; at least 1/Q**2.
+def _fractions(num: np.ndarray, den: np.ndarray) -> list[Fraction]:
+    """The columns num/den as exact Fractions, for the oracles."""
+    return list(map(Fraction, num.tolist(), den.tolist()))
+
+
+def min_gap(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """Smallest difference of consecutive fractions num/den; at least 1/Q**2.
 
     Raises:
-        ValueError: on sequences with fewer than two fractions.
+        ValueError: on columns with fewer than two fractions.
     """
-    if len(seq) < 2:
+    if len(num) < 2:
         raise ValueError("min_gap needs at least 2 fractions")
-    return min(
-        seq[i + 1].value - seq[i].value for i in range(len(seq) - 1)
-    )
+    fr = _fractions(num, den)
+    return min(v - u for u, v in zip(fr, fr[1:]))
 
 
-def delta_key(hi: FareyFraction, lo: FareyFraction) -> Fraction:
-    """Separation hi - lo of an oriented pair."""
-    return hi.value - lo.value
-
-
-def sigma_key(a: FareyFraction, b: FareyFraction) -> Fraction:
-    """Distance of a + b to the nearest integer, in [0, 1/2]."""
-    s = a.value + b.value
-    frac = s - (s.numerator // s.denominator)
-    return min(frac, 1 - frac)
+def pair_key(u: Fraction, v: Fraction, mode: str) -> Fraction:
+    """Key of the oriented pair u > v: u - v (difference) or ||u + v|| in [0, 1/2] (wrapped_sum)."""
+    if mode == "difference":
+        return u - v
+    if mode == "wrapped_sum":
+        frac = (u + v) % 1
+        return min(frac, 1 - frac)
+    raise ValueError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -133,16 +117,17 @@ class PairPartition:
 
 
 def spaced_pair_partition(
-    seq: Sequence[FareyFraction],
+    num: np.ndarray,
+    den: np.ndarray,
     a: Union[float, int, Fraction],
     mode: str = "difference",
 ) -> PairPartition:
     """Partition oriented pairs into NEAR (key <= 1/A) and FAR (key > 1/A).
 
-    Pairs are (i, k) with i > k, so seq[i].value > seq[k].value for an
-    ascending sequence: pairs are oriented so the difference is positive,
+    Pairs are (i, k) with i > k, so num[i]/den[i] > num[k]/den[k] for
+    ascending columns: pairs are oriented so the difference is positive,
     and equal-valued pairs belong to the diagonal, never to this partition.
-    difference mode keys on delta, wrapped_sum mode on sigma; the threshold
+    Each pair is keyed by pair_key in the given mode; the threshold
     comparison is exact.
 
     Raises:
@@ -155,9 +140,8 @@ def spaced_pair_partition(
     threshold = 1 / Fraction(a)
     near: list[tuple[int, int]] = []
     far: list[tuple[int, int]] = []
-    for i, u in enumerate(seq):
+    fr = _fractions(num, den)
+    for i, u in enumerate(fr):
         for k in range(i):
-            v = seq[k]
-            key = delta_key(u, v) if mode == "difference" else sigma_key(u, v)
-            (near if key <= threshold else far).append((i, k))
+            (near if pair_key(u, fr[k], mode) <= threshold else far).append((i, k))
     return PairPartition(mode, tuple(near), tuple(far))

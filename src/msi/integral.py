@@ -469,7 +469,7 @@ def _pair_sums(
     Oriented pairs i > k of the ascending sequence go in row blocks of at
     most PAIR_BLOCK pairs. Keys are p / r with r = den_i den_k and
     p = num_i den_k -/+ num_k den_i (sigma folded to min(p, r - p), the
-    sigma_key of spaced_pair_partition). Every block but the last adds its
+    wrapped_sum pair_key of spaced_pair_partition). Every block but the last adds its
     terms to exact per-part exponent buckets (_ExactSums); the last block
     and the buckets go into one math.fsum per part, so each part equals one
     fsum over all its terms whatever the block size, and a decomposition of

@@ -7,7 +7,8 @@ The central object is the weighted sum
 its equivalent double-average form (1/h) sum_{m <= h} sum_{|n-x| < m} f(n),
 and the expected value M_f(x, h) = h * sum_{d <= x+h} g(d)/d for f = g*1.
 Everything here is exact rational arithmetic, the reference the tests hold
-the integer sweep kernel of msi.integral to.
+the integer sweep kernel of msi.integral to; literal_mean_square is the
+whole sweep, center by center.
 
 Window centers with x <= h clamp the sum to n >= 1; the weighted counts
 chi_tilde_q are exact and q-periodic in x once x > h.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FunctionTable, Rational
+from .arith import FunctionTable, Rational, SupportCutoff, divisors
 
 
 @dataclass(frozen=True)
@@ -153,3 +154,24 @@ def chi_tilde_direct(q: int, x: int, w: FejerWindow) -> Rational:
     for m in range(m_lo, m_hi + 1):
         total += 1 - Fraction(abs(q * m - x), h)
     return total - Fraction(h, q)
+
+
+def literal_mean_square(g: FunctionTable, n: int, h: int, cutoff: SupportCutoff) -> Rational:
+    """Sum over x in (n, 2n] of (short sum - mean value)**2, literally, per center.
+
+    With Q = cutoff.limit(x + h), f(m) is the sum of g(d) over the divisors
+    d <= Q of m, weighted by FejerWindow(h).weight(m - x), and the mean
+    h * sum_{d <= Q} g(d)/d is subtracted. The exact oracle of the direct
+    sweep, for either cutoff.
+    """
+    w = FejerWindow(h)
+    total = Fraction(0)
+    for x in range(n + 1, 2 * n + 1):
+        q = cutoff.limit(x + h)
+        short = sum(
+            w.weight(m - x) * sum(g.get(d) for d in divisors(m) if d <= q)
+            for m in range(x - h, x + h + 1)
+        )
+        mean = h * sum(Fraction(g.get(d), d) for d in range(1, q + 1))
+        total += (short - mean) ** 2
+    return total

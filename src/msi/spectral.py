@@ -22,7 +22,6 @@ path to; a float argument is taken at its exact binary value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import pi, sin
 from typing import Sequence, Union
@@ -31,28 +30,6 @@ import numpy as np
 
 from .arith import FunctionTable, Rational, integer_scaled
 from .short_sums import FejerWindow
-
-
-@dataclass(frozen=True)
-class FejerCoefficient:
-    """One expansion coefficient c_{j,q} = F_h(j/q)/q >= 0, for 1 <= j <= q/2."""
-
-    j: int
-    q: int
-    value: float
-
-
-@dataclass(frozen=True)
-class RamanujanTable:
-    """R_l for 1 <= l <= Q of f = g*1: R_l = (1/l) sum_{q <= Q/l} g(l q)/q."""
-
-    q_max: int
-    values: tuple[Rational, ...]  # values[l - 1] = R_l
-
-    def __getitem__(self, ell: int) -> Rational:
-        if not 1 <= ell <= self.q_max:
-            raise IndexError(f"ell={ell} outside [1, {self.q_max}]")
-        return self.values[ell - 1]
 
 
 # ----------------------------------------------------------------------
@@ -83,17 +60,6 @@ def _coefficients(j: np.ndarray, q: np.ndarray, h) -> np.ndarray:
     top = _sin_pi_ratio(h * j, q)
     bot = _sin_pi_ratio(j, q)
     return (2.0 / h) * np.square(top) / np.square(bot) / q
-
-
-def fejer_coefficient(j: int, q: int, w: FejerWindow) -> FejerCoefficient:
-    """c_{j,q} = F_h(j/q)/q for 1 <= j <= q/2.
-
-    The scaling law c_{d j, d q} = c_{j,q}/d holds to the last bit of the
-    kernel value; only the final division by q rounds differently.
-    """
-    if j < 1 or 2 * j > q:
-        raise ValueError(f"need 1 <= j <= q/2, got j={j}, q={q}")
-    return FejerCoefficient(j, q, float(_coefficients(j, q, w.h)))
 
 
 def chi_tilde_expansion(
@@ -149,11 +115,6 @@ def coefficient_square_sums(q_max: int, hs: Sequence[int]) -> np.ndarray:
     for q in range(2, q_max + 1):
         sums[:, q] = _square_sum(np.arange(1, q // 2 + 1), q, h)
     return sums
-
-
-def ramanujan_table(g: FunctionTable, q_max: int) -> RamanujanTable:
-    """All R_ell for 1 <= ell <= q_max, exact, in one integer pass (_ramanujan_ratios)."""
-    return RamanujanTable(q_max, tuple(Fraction(a, b) for a, b in _ramanujan_ratios(g, q_max)))
 
 
 def _ramanujan_ratios(g: FunctionTable, q_max: int) -> list[tuple[int, int]]:
@@ -227,7 +188,7 @@ def ramanujan_coefficient(g: FunctionTable, ell: int, q_max: int) -> Rational:
     """R_ell of g*1 for g supported in [1, q_max]: sum of g(m)/m over ell | m.
 
     Exact rational value; zero once ell exceeds q_max. The per-ell reference
-    for ramanujan_table.
+    for _ramanujan_ratios.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")

@@ -35,7 +35,6 @@ from .arith import (
     FunctionTable,
     SupportCutoff,
     dirichlet_convolve_unit,
-    divisors,
     mobius_invert,
     power_floor,
     preset_table,
@@ -43,11 +42,11 @@ from .arith import (
     sieve_divisor_count,
 )
 from .farey import (
+    _fractions,
     farey_columns,
-    farey_enumerate,
     farey_full,
     min_gap,
-    sigma_key,
+    pair_key,
     spaced_pair_partition,
 )
 from .integral import (
@@ -63,6 +62,7 @@ from .short_sums import (
     averaged_double_sum,
     chi_tilde_direct,
     fejer_short_sum,
+    literal_mean_square,
     mean_value,
 )
 from .spectral import (
@@ -412,10 +412,10 @@ def check_gap_law(q_top: int = 300) -> PropertyReport:
         failures += int(np.count_nonzero(cross != 1))
     # spot-check the Fraction arithmetic form as well
     for q in (5, 17, 120):
-        fr = farey_enumerate(q)
+        fr = _fractions(*farey_columns(q))
         for u, v in zip(fr, fr[1:]):
             instances += 1
-            if v.value - u.value != Fraction(1, u.den * v.den):
+            if v - u != Fraction(1, u.denominator * v.denominator):
                 failures += 1
     return _exact_report("F2", instances, failures)
 
@@ -436,7 +436,7 @@ def check_min_gap(q_top: int = 300) -> PropertyReport:
             failures += 1
         if q in (3, 5, 48, 121, 300):
             instances += 1
-            if min_gap(farey_enumerate(q)) != Fraction(1, worst_prod):
+            if min_gap(*farey_columns(q)) != Fraction(1, worst_prod):
                 failures += 1
     return _exact_report("min-gap", instances, failures)
 
@@ -445,13 +445,13 @@ def check_partition_exhaustive() -> PropertyReport:
     """F3: NEAR and FAR tile the oriented pairs exactly once, both modes."""
     instances = failures = 0
     for q, a in ((5, 10), (8, 3.5), (12, 144.0), (17, 2), (24, 1e9)):
-        seq = farey_enumerate(q)
-        m = len(seq)
+        num, den = farey_columns(q)
+        m = num.size
         expected = {
             (i, k) for i in range(m) for k in range(i)
         }
         for mode in ("difference", "wrapped_sum"):
-            part = spaced_pair_partition(seq, a, mode)
+            part = spaced_pair_partition(num, den, a, mode)
             near, far = set(part.near), set(part.far)
             instances += len(expected)
             if near | far != expected or near & far:
@@ -569,8 +569,8 @@ def check_power_cutoff_oracle(fast: bool = False) -> PropertyReport:
     """J6: power-cutoff exact sweep equals the literal per-x double loop.
 
     The implementation accumulates g(q) * chi_tilde_q(x) over q up to
-    floor(sqrt(x + h)); the oracle tabulates f per center through divisor
-    sums and subtracts the per-x mean value. Equality is exact.
+    floor(sqrt(x + h)); the oracle, literal_mean_square, tabulates f per
+    center through divisor sums and subtracts the per-x mean value. Exact.
     """
     ns = (8, 16, 33) if fast else (8, 16, 33, 50, 75, 100)
     instances = failures = 0
@@ -581,18 +581,8 @@ def check_power_cutoff_oracle(fast: bool = False) -> PropertyReport:
             q_top = power_floor(2 * n + h, 0.5)
             g = random_rational_table(q_top, seed=600 + i)
             cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.power(0.5))
-            got = selberg_integral_direct(cfg, exact=True)
-            want = Fraction(0)
-            for x in range(n + 1, 2 * n + 1):
-                qx = power_floor(x + h, 0.5)
-                short = Fraction(0)
-                for m in range(x - h, x + h + 1):
-                    fm = sum(g.get(dd) for dd in divisors(m) if dd <= qx)
-                    short += (1 - Fraction(abs(m - x), h)) * fm
-                mv = h * sum(Fraction(g.get(d)) / d for d in range(1, qx + 1))
-                want += (short - mv) ** 2
             instances += 1
-            if got != want:
+            if selberg_integral_direct(cfg, exact=True) != literal_mean_square(g, n, h, cfg.cutoff):
                 failures += 1
     return _exact_report("J6", instances, failures)
 
@@ -645,16 +635,14 @@ def check_taylor_positivity() -> PropertyReport:
     found_near = 0
     for n in range(8, 19):
         for q in (10, 11, 12):
-            seq = farey_enumerate(q)
+            num, den = farey_columns(q)
+            fr = _fractions(num, den)
             a = 8.0 * n
             for mode in ("difference", "wrapped_sum"):
-                part = spaced_pair_partition(seq, a, mode)
+                part = spaced_pair_partition(num, den, a, mode)
                 for i, k in part.near:
                     found_near += 1
-                    if mode == "difference":
-                        key = seq[i].value - seq[k].value
-                    else:
-                        key = sigma_key(seq[i], seq[k])
+                    key = pair_key(fr[i], fr[k], mode)
                     assert n * key <= Fraction(1, 8)
                     instances += 1
                     if exp_sum_closed_form(key, n).real <= 0.0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msi.arith import (
+    PRESET_NAMES,
     FunctionTable,
     SupportCutoff,
     dirichlet_convolve_unit,
@@ -176,6 +177,12 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_table("nope", 10)
+
+    @pytest.mark.parametrize("spec", [*PRESET_NAMES, "random:3"])
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_empty_table_refused(self, spec, max_n):
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            preset_table(spec, max_n)
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,6 +18,23 @@ FAREY5_CSV = """num,den,value
 """
 
 FAREY300_CSV_SHA256 = "9831424d2c48eb331740b66841607e4240dd1de66acca82ccfe48456752cd825"
+FAREY300_PLAIN_SHA256 = "f7ae17d36af34d8fbcaa03f2cc59e5a003da94be1d92a3d10f4971687d1c517a"
+
+# `msi verify --suite S --fast`: (property, instances, max_error) in report order
+FAST_SUITE_GOLDEN = {
+    "farey": [
+        ("F1", 104359, 0.0),
+        ("F2", 54323, 0.0),
+        ("min-gap", 101, 0.0),
+        ("F3", 10902, 0.0),
+        ("F4", 1982294, 0.0),
+    ],
+    "lemma": [
+        ("lemma-far-bound", 4460, 0.49030173718881587),
+        ("lemma-exp-sum-bound", 1000, 0.9978951907009955),
+        ("J5", 69, 0.0),
+    ],
+}
 
 MOBIUS10_CSV = """n,value
 1,1
@@ -95,6 +112,21 @@ def test_farey_q300_csv_digest(capsys):
     assert code == 0
     assert len(out.splitlines()) == 13700
     assert hashlib.sha256(out.encode()).hexdigest() == FAREY300_CSV_SHA256
+
+
+def test_farey_q300_plain_digest(capsys):
+    code, out, _ = run(capsys, "farey", "--q", "300")
+    assert code == 0
+    assert len(out.splitlines()) == 13699
+    assert hashlib.sha256(out.encode()).hexdigest() == FAREY300_PLAIN_SHA256
+
+
+@pytest.mark.parametrize("kind", ["delta1", "unit", "mobius", "mobius-squared", "random:3", "divisor"])
+def test_sieve_refuses_empty_table(capsys, kind):
+    code, out, err = run(capsys, "sieve", "--kind", kind, "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 def test_integral_json_schema(capsys):
@@ -207,6 +239,9 @@ def test_verify_fast_suite(capsys, tmp_path, suite):
     for prop in payload["properties"]:
         assert set(prop) == {"property", "instances", "max_error", "pass"}
     assert json.loads(report_path.read_text()) == payload
+    if suite in FAST_SUITE_GOLDEN:
+        got = [(p["property"], p["instances"], p["max_error"]) for p in payload["properties"]]
+        assert got == FAST_SUITE_GOLDEN[suite]
 
 
 def test_sweep_deterministic_rerun(tmp_path, capsys):
@@ -311,11 +346,9 @@ def test_integral_power_cutoff_refuses_q(capsys):
 
 def test_report_types_live_in_their_modules():
     # trimmed from the package namespace; each stays importable where it is defined
-    from msi.farey import FareyFraction, PairPartition
+    from msi.farey import PairPartition
     from msi.integral import DecompositionReport, FarPartReport, MajorantReport
-    from msi.spectral import FejerCoefficient, RamanujanTable
 
-    for cls in (FareyFraction, PairPartition, DecompositionReport, FarPartReport,
-                MajorantReport, FejerCoefficient, RamanujanTable):
+    for cls in (PairPartition, DecompositionReport, FarPartReport, MajorantReport):
         assert cls.__name__ not in msi.__all__
         assert not hasattr(msi, cls.__name__)

@@ -11,13 +11,11 @@ import msi.integral as integral_mod
 from msi.arith import (
     FunctionTable,
     SupportCutoff,
-    dirichlet_convolve_unit,
-    divisors,
     power_floor,
     preset_table,
     random_rational_table,
 )
-from msi.farey import delta_key, farey_enumerate, sigma_key, spaced_pair_partition
+from msi.farey import _fractions, farey_columns, pair_key, spaced_pair_partition
 from msi.integral import (
     IntegralConfig,
     ResourceBudgetError,
@@ -27,35 +25,8 @@ from msi.integral import (
     selberg_integral_decomposed,
     selberg_integral_direct,
 )
-from msi.short_sums import FejerWindow, chi_tilde_direct, mean_value
+from msi.short_sums import FejerWindow, chi_tilde_direct, literal_mean_square
 from msi.spectral import exp_sum_closed_form, fejer_kernel_value, ramanujan_coefficient
-
-
-def brute_direct(g, n, h):
-    """Literal rational sweep for a fixed cutoff at the g table size."""
-    w = FejerWindow(h)
-    f = dirichlet_convolve_unit(g, 2 * n + h)
-    total = Fraction(0)
-    for x in range(n + 1, 2 * n + 1):
-        short = sum(
-            (1 - Fraction(abs(m - x), h)) * f[m] for m in range(x - h, x + h + 1)
-        )
-        total += (short - mean_value(g, x, w)) ** 2
-    return total
-
-
-def literal_power_direct(g, n, h, theta):
-    """Literal rational sweep for a power cutoff: per center, f and the mean cut at Q(x + h)."""
-    total = Fraction(0)
-    for x in range(n + 1, 2 * n + 1):
-        qx = power_floor(x + h, theta)
-        short = Fraction(0)
-        for m in range(x - h, x + h + 1):
-            fm = sum(g.get(d) for d in divisors(m) if d <= qx)
-            short += (1 - Fraction(abs(m - x), h)) * fm
-        mv = h * sum(Fraction(g.get(d)) / d for d in range(1, qx + 1))
-        total += (short - mv) ** 2
-    return total
 
 
 def forbid_work(monkeypatch):
@@ -128,7 +99,7 @@ class TestDirect:
         g = preset_table("mobius", 4)
         cfg = IntegralConfig(n=8, h=2, g=g, cutoff=SupportCutoff.fixed(4))
         exact = selberg_integral_direct(cfg, exact=True)
-        assert exact == brute_direct(g, 8, 2) == Fraction(17, 36)
+        assert exact == literal_mean_square(g, 8, 2, cfg.cutoff) == Fraction(17, 36)
         assert math.isclose(selberg_integral_direct(cfg), 17 / 36, rel_tol=1e-12)
 
     def test_float_matches_exact_on_random_configs(self):
@@ -181,7 +152,7 @@ class TestDirect:
     def test_int64_guard_before_any_work(self, monkeypatch):
         g = FunctionTable([1, Fraction(1, 10 ** 15)])  # common denominator D = 10^15
         small = IntegralConfig(n=100, h=2, g=g, cutoff=SupportCutoff.fixed(2))
-        assert selberg_integral_direct(small, exact=True) == brute_direct(g, 100, 2)
+        assert selberg_integral_direct(small, exact=True) == literal_mean_square(g, 100, 2, small.cutoff)
 
         def untouchable(*args, **kwargs):
             raise AssertionError("work started before the guard")
@@ -229,7 +200,7 @@ class TestPowerCutoff:
         g = random_rational_table(7, seed=15)
         cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.power(0.5))
         got = selberg_integral_direct(cfg, exact=True)
-        assert got == literal_power_direct(g, n, h, 0.5)
+        assert got == literal_mean_square(g, n, h, cfg.cutoff)
         assert math.isclose(selberg_integral_direct(cfg), float(got), rel_tol=1e-10)
 
     def test_theta_one_matches_fixed_full_support(self):
@@ -252,7 +223,7 @@ class TestSweepBlocks:
         ]
         whole = [selberg_integral_direct(cfg, exact=True) for cfg in configs]
         for cfg, want in zip(configs, whole):
-            assert want == brute_direct(cfg.g, cfg.n, cfg.h)
+            assert want == literal_mean_square(cfg.g, cfg.n, cfg.h, cfg.cutoff)
         # SWEEP_BLOCK = 1 gives blocks of 16 Q: 80 centers (pattern period 1) and 192 (period 2);
         # 400 gives blocks of 400 centers with period 6, the last one short
         for size in (1, 400):
@@ -271,7 +242,7 @@ class TestSweepBlocks:
         boundary = q * q - h - (n + 1)
         assert g[q] != 0 and boundary >= 16 * power_floor(n + h + 1, theta)
         monkeypatch.setattr(integral_mod, "SWEEP_BLOCK", boundary)
-        assert selberg_integral_direct(cfg, exact=True) == whole == literal_power_direct(g, n, h, theta)
+        assert selberg_integral_direct(cfg, exact=True) == whole == literal_mean_square(g, n, h, cfg.cutoff)
         assert math.isclose(selberg_integral_direct(cfg), float(whole), rel_tol=1e-14)
 
     def test_power_blocks_do_not_change_the_sums(self, monkeypatch):
@@ -436,10 +407,10 @@ class TestDecomposition:
         g = preset_table("mobius", 48)
         cfg = IntegralConfig(n=5000, h=16, g=g, cutoff=SupportCutoff.fixed(48))
         rep = selberg_integral_decomposed(cfg)
-        seq = farey_enumerate(48)
+        num, den = farey_columns(48)
         zero = sum(
-            1 for fr in seq
-            if ramanujan_coefficient(g, fr.den, 48) == 0 or fr.num * 16 % fr.den == 0
+            1 for j, ell in zip(num.tolist(), den.tolist())
+            if ramanujan_coefficient(g, ell, 48) == 0 or j * 16 % ell == 0
         )
         assert rep.pairs == {
             "fractions": 356,
@@ -459,28 +430,29 @@ def reference_parts(cfg):
     Returns (diagonal, near_delta, near_sigma, far_delta, far_sigma, pair counts).
     """
     q, n, h = cfg.cutoff.q, cfg.n, cfg.h
-    seq = farey_enumerate(q)
+    num, den = farey_columns(q)
+    fr = _fractions(num, den)
     weights = [
-        float(ramanujan_coefficient(cfg.g, fr.den, q)) * fejer_kernel_value(fr.value, FejerWindow(h))
-        for fr in seq
+        float(ramanujan_coefficient(cfg.g, u.denominator, q)) * fejer_kernel_value(u, FejerWindow(h))
+        for u in fr
     ]
     diag = math.fsum(
-        w * w * (0.5 * n + 0.5 * exp_sum_closed_form(2 * fr.value, n).real)
-        for fr, w in zip(seq, weights)
+        w * w * (0.5 * n + 0.5 * exp_sum_closed_form(2 * u, n).real)
+        for u, w in zip(fr, weights)
         if w != 0.0
     )
 
-    def pair_sum(pairs, key_fn):
+    def pair_sum(pairs, mode):
         return math.fsum(
-            weights[i] * weights[k] * exp_sum_closed_form(key_fn(seq[i], seq[k]), n).real
+            weights[i] * weights[k] * exp_sum_closed_form(pair_key(fr[i], fr[k], mode), n).real
             for i, k in pairs
             if weights[i] != 0.0 and weights[k] != 0.0
         )
 
-    part_d = spaced_pair_partition(seq, cfg.a_value, "difference")
-    part_s = spaced_pair_partition(seq, cfg.a_value, "wrapped_sum")
+    part_d = spaced_pair_partition(num, den, cfg.a_value, "difference")
+    part_s = spaced_pair_partition(num, den, cfg.a_value, "wrapped_sum")
     counts = {
-        "fractions": len(seq),
+        "fractions": len(fr),
         "near_difference": len(part_d.near),
         "far_difference": len(part_d.far),
         "near_wrapped_sum": len(part_s.near),
@@ -489,10 +461,10 @@ def reference_parts(cfg):
     }
     return (
         diag,
-        pair_sum(part_d.near, delta_key),
-        pair_sum(part_s.near, sigma_key),
-        pair_sum(part_d.far, delta_key),
-        pair_sum(part_s.far, sigma_key),
+        pair_sum(part_d.near, "difference"),
+        pair_sum(part_s.near, "wrapped_sum"),
+        pair_sum(part_d.far, "difference"),
+        pair_sum(part_s.far, "wrapped_sum"),
         counts,
     )
 
@@ -716,7 +688,7 @@ class TestFarPartReport:
                 if math.gcd(j, ell) == 1
             )
             scale = max(abs(float(ramanujan_coefficient(g, ell, q))) * ell for ell in range(2, q + 1))
-            k = len(farey_enumerate(q))
+            k = farey_columns(q)[0].size
             harmonic = 2.0 * math.fsum(1.0 / i for i in range(1, k + 1))
             a = cfg.a_value
             assert math.isclose(rep.coeff_square_sum, sq, rel_tol=1e-12)
