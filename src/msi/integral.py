@@ -1,19 +1,23 @@
 """Mean square of the centered short sums over x in (N, 2N], two ways.
 
-The direct route sweeps centers with cumulative sums: O(N) time and
-O(block + Q) memory, tabulating f = g*1 only over each block's span. The
-spectral route rebuilds the same quantity from Ramanujan coefficients,
-window-kernel values at Farey fractions, and closed-form exponential
-x-sums, split into diagonal, nearby (separation <= 1/A) and well-spaced
-(> 1/A) parts; their total must reconstruct the direct value.
+The direct route sweeps centers in blocks: O(N) time and O(block + Q)
+memory. A sweep of several blocks sums shared periodic tables of the
+window-weighted multiple counts of each d, made once per call; a sweep of
+one block, and the d the tables leave over, tabulate f = g*1 on the
+block's span and take two cumulative sums. The spectral route rebuilds
+the same quantity from Ramanujan coefficients, window-kernel values at
+Farey fractions, and closed-form exponential x-sums, split into diagonal,
+nearby (separation <= 1/A) and well-spaced (> 1/A) parts; their total must
+reconstruct the direct value.
 
 The direct sweep is one integer kernel for fixed and growing cutoffs: g is
-scaled to integers by its common denominator, the short sums are int64 and
-run in cache-sized blocks of centers, and float and exact results differ
-only in the final reduction of the integer deviations (numpy's pairwise
-sum per block and one math.fsum over the blocks, vs Python ints). Pure
-functions over immutable inputs throughout; every reduction has a fixed
-order, so reruns give identical results.
+scaled to integers by its common denominator, the short sums are exact
+integers (int64, or int32 where the tables alone form them and every value
+fits) and run in cache-sized blocks of centers, and float and exact
+results differ only in the final reduction of the integer deviations
+(numpy's pairwise sum per block and one math.fsum over the blocks, vs
+Python ints). Pure functions over immutable inputs throughout; every
+reduction has a fixed order, so reruns give identical results.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import fsum, log
 from typing import Union
 
@@ -36,6 +41,8 @@ PAIR_BUDGET = 10 ** 7
 MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
 PAIR_BLOCK = 1 << 13  # oriented pairs per row block; both modes' x-sums run on twice as many
 SWEEP_BLOCK = 1 << 16  # centers per block of the direct sweep, at least 16 Q0
+TABLE_SHARE = 4  # a periodic table of the sweep spans at most block / TABLE_SHARE centers
+TABLE_LIMIT = 12  # most periodic tables a block adds in place of its two cumulative sums
 _NEAR_PARTS, _FAR_PARTS = np.array([[0], [1]]), np.array([[2], [3]])  # delta, sigma rows
 PAIR_COUNTERS = (
     "fractions",
@@ -155,22 +162,31 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
     One integer kernel serves both cutoffs and both modes. g on
     [1, min(Q(2n + h), g.max_n)] is scaled by its common denominator D
     (the mean square of D g is D**2 times that of g), so f D and
-    A(x) = h D S(x) are integers: A is a box sum of box sums of f D, two
-    int64 cumulative sums over the centers' window. The expected value
-    h D M(x) is c = h**2 sum_{d <= Q} g(d) D / d, split into round(c) and
-    c - round(c) without forming lcm(1, ..., Q). A power cutoff tabulates
-    f at Q0 = Q(n + h + 1), then for each q in (Q0, Q(2n + h)] with
-    g(q) != 0 adds g(q) D times the q-periodic table of h times the
-    weighted count of multiples of q, from the first center whose support
-    reaches q on; centers with one support bound share one c.
+    A(x) = h D S(x) are integers. A is the sum over d <= Q of g(d) D times
+    t_d(x mod d), h times the weighted count of multiples of d near x: a sum
+    of d-periodic tables. The expected value h D M(x) is
+    c = h**2 sum_{d <= Q} g(d) D / d, split into round(c) and c - round(c)
+    without forming lcm(1, ..., Q). A power cutoff covers the d up to
+    Q0 = Q(n + h + 1) as a fixed one does, then for each q in
+    (Q0, Q(2n + h)] with g(q) != 0 adds g(q) D times t_q from the first
+    center whose support reaches q on; centers with one support bound share
+    one c.
 
-    The centers run in blocks of max(SWEEP_BLOCK, 16 Q0), each tabulated,
-    summed and reduced on its own span in two int64 buffers reused by
-    every block, so memory is O(block + Q) at any n (plus one q-periodic
-    table per added q of a power cutoff); a block's A is the integer slice
-    the whole sweep would give. When several blocks share it, the part of
-    f D from the d dividing P = lcm(1, ..., k) is one P-periodic pattern
-    built once per call; only the other d are sieved per block.
+    The centers run in blocks of max(SWEEP_BLOCK, 16 Q0), each formed and
+    reduced on its own span in two buffers reused by every block, so memory
+    is O(block + Q) at any n (plus one table per added q of a power
+    cutoff); a block's A is the integer slice the whole sweep would give.
+    A sweep of one block tabulates f D on the block's span by sieving each
+    d and takes A as a box sum of box sums, two int64 cumulative sums. A
+    sweep of several blocks first plans the d <= Q0 with g(d) != 0 into
+    groups whose lcm is at most block / TABLE_SHARE (16384 at the default
+    block) and makes one periodic table per group, once per call
+    (_table_plan, _periodic_tables), with round(c) folded into the first.
+    When at most TABLE_LIMIT groups hold every d, a block's A is a copy of
+    the first table plus the others, with no sieve and no cumulative sum,
+    in int32 when (3h + 1) h D sum|g| < 2**31 - 1 bounds every value and
+    else in int64. Otherwise only the first group's table is made, and the
+    d it leaves over are sieved and summed as in a one-block sweep.
 
     Only the last reduction depends on exact. The default sums
     ((A - round(c)) - (c - round(c)))**2 in float64, with numpy's pairwise
@@ -188,37 +204,61 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
     q_top = min(cutoff.limit(2 * n + h), cfg.g.max_n)
     q0 = min(cutoff.limit(n + h + 1), q_top)
     den, gd = integer_scaled(cfg.g, q_top)
-    if (2 * n + 2 * h) * h * sum(map(abs, gd)) >= 2 ** 63:
+    mass = sum(map(abs, gd))
+    if (2 * n + 2 * h) * h * mass >= 2 ** 63:
         raise ResourceBudgetError(
             f"N={n}, h={h} and g (common denominator {den}) exceed the int64 range "
             "of the direct sweep: need (2N + 2h) h D sum|g| < 2**63"
         )
     block = min(max(SWEEP_BLOCK, 16 * q0), n)
-    plan = _periodic_part(gd, q0, block + 2 * h - 1, shared=block < n)
-    tables = []  # (first center index, q, g(q) D times q's multiple counts)
+    if block < n:
+        groups, sieve = _table_plan(gd, q0, block // TABLE_SHARE)
+    else:
+        groups, sieve = [], [d for d in range(1, q0 + 1) if gd[d]]
     centers = range(n + 1, 2 * n + 1)
-    for q in range(q0 + 1, q_top + 1):
-        if gd[q]:
-            start = bisect_left(centers, q, key=lambda x: cutoff.limit(x + h))
-            tables.append((start, q, gd[q] * _multiple_counts(q, h)))
+    added = [q for q in range(q0 + 1, q_top + 1) if gd[q]]
+    tables = [  # (first center index, q, g(q) D times q's multiple counts)
+        (bisect_left(centers, q, key=lambda x: cutoff.limit(x + h)), q, t)
+        for q, t in zip(added, _multiple_counts_each(added, h, [gd[q] for q in added]))
+    ]
     segments = _segment_means(gd, h, [(0, q0)] + [(s, q) for s, q, _ in tables], n, exact)
-    p = np.zeros(block + 2 * h, dtype=np.int64)  # buffers of the largest block, reused by all
-    box = np.zeros(block + h + 1, dtype=np.int64)
-    dev = box[1:].view(np.float64)  # box is dead once A is formed; its leading zero stays
+    from_tables = bool(groups) and not sieve
+    # |A - round(c)| and every partial sum of tables and means is at most (3h + 1) h sum|gd| + 1/2
+    narrow = from_tables and (3 * h + 1) * h * mass < 2 ** 31 - 1
+    dtype = np.int32 if narrow else np.int64
+    periodic = _periodic_tables(gd, groups, h, block // TABLE_SHARE, dtype) if groups else []
+    folded = segments[0][2] if periodic else 0
+    if periodic:
+        periodic[0] -= folded
+    if from_tables:  # buffers of the largest block, reused by all
+        acc, dev = np.empty(block, dtype=periodic[0].dtype), np.empty(block)
+    else:
+        p = np.zeros(block + 2 * h, dtype=np.int64)
+        box = np.zeros(block + h + 1, dtype=np.int64)
+        dev = box[1:].view(np.float64)  # box is dead once A is formed; its leading zero stays
     sums, total = [], Fraction(0)
     for c0 in range(0, n, block):
         b = min(block, n - c0)
-        a = _short_sums(gd, plan, n + c0, h, p[:b + 2 * h], box[:b + h + 1])
+        x = n + c0 + 1  # the block's first center
+        if from_tables:
+            a, rest = acc[:b], periodic[1:]
+            for dst, src in _periodic_slices(a, periodic[0], x % periodic[0].size):
+                dst[...] = src
+        else:
+            a, rest = _short_sums(gd, sieve, n + c0, h, p[:b + 2 * h], box[:b + h + 1]), periodic
+        for t in rest:
+            _add_periodic(a, t, x % t.size)
         for start, q, t in tables:
             s = max(start - c0, 0)
             if s < b:
-                _add_periodic(a[s:], t, (n + c0 + s + 1) % q)
+                _add_periodic(a[s:], t, (x + s) % q)
         for start, end, r, e in segments:
             lo, hi = max(start - c0, 0), min(end - c0, b)
             if lo >= hi:
                 continue
             seg = a[lo:hi]
-            seg -= r
+            if r != folded:
+                seg -= r - folded
             if exact:
                 v = seg.tolist()
                 total += sum(t * t for t in v) - 2 * e * sum(v) + len(v) * e * e
@@ -266,39 +306,80 @@ def _segment_means(
     return out
 
 
-def _periodic_part(
-    gd: list[int], q_max: int, span: int, shared: bool
-) -> tuple[np.ndarray | None, int, list[int]]:
-    """(pattern, P, sieve): f D's part from the d <= q_max dividing P, and the d left to sieve.
+def _table_plan(gd: list[int], q_max: int, bound: int) -> tuple[list[list], list[int]]:
+    """(groups, sieve): the d <= q_max with gd[d] != 0 as [lcm, members] groups, and the rest.
 
-    P = lcm(1, ..., k) is the largest such lcm at most span / 64 when the
-    pattern is shared by several blocks. The pattern holds that part of
-    f D at m = 0, 1, ..., P + span - 1, so a block's span starting at lo is
-    the window from lo mod P. A pattern read once saves nothing, and short
-    spans have no room for one: they get P = 1, where the pattern is the
-    constant gd[1] and is not built.
+    The d join in ascending order, each d the group whose lcm it raises
+    least while that lcm stays at most bound (at least q_max), else a new
+    group. When the d need more than TABLE_LIMIT groups, only the first is
+    kept, holding every d dividing its lcm, and the other d go to the sieve.
     """
-    period, k = 1, 2
-    while shared and math.lcm(period, k) * 64 <= span:
-        period, k = math.lcm(period, k), k + 1
-    sieve = [d for d in range(1, q_max + 1) if gd[d] and period % d]
-    if period == 1:
-        return None, 1, sieve
-    pattern = np.zeros(period + span, dtype=np.int64)
-    for d in range(1, min(period, q_max) + 1):
-        if gd[d] and not period % d:
-            pattern[::d] += gd[d]
-    return pattern, period, sieve
+    ds = [d for d in range(1, q_max + 1) if gd[d]]
+    groups = []  # [lcm, members]
+    for d in ds:
+        best, grow = None, 0
+        for g in groups:
+            k = math.lcm(g[0], d) // g[0]
+            if g[0] * k <= bound and (best is None or k < grow):
+                best, grow = g, k
+                if k == 1:
+                    break
+        if best is not None:
+            best[0] *= grow
+            best[1].append(d)
+        elif len(groups) < TABLE_LIMIT:
+            groups.append([d, [d]])
+        else:
+            period = groups[0][0]
+            groups = [[period, [e for e in ds if period % e == 0]]]
+            break
+    tabled = {d for _, members in groups for d in members}
+    return groups, [d for d in ds if d not in tabled]
+
+
+def _periodic_tables(
+    gd: list[int], groups: list[list], h: int, bound: int, dtype: type
+) -> list[np.ndarray]:
+    """One table per group of _table_plan: table[x mod size] = sum of gd[d] t_d(x) over its d.
+
+    t_d = _multiple_counts(d, h). A table is built as its d join, on the
+    lcm of the d so far, and repeated to the least multiple of the group's
+    lcm above bound / TABLE_SHARE (4096 at the default block): numpy adds
+    rows longer than 4096 entries about 1.6 times as fast as shorter ones,
+    in int64 and in int32. All tables share one array of dtype, which must
+    hold every value.
+    """
+    tabled = [d for _, members in groups for d in members]
+    parts = dict(zip(tabled, _multiple_counts_each(tabled, h, [gd[d] for d in tabled])))
+    sizes = [period * (bound // TABLE_SHARE // period + 1) for period, _ in groups]
+    ends = list(accumulate(sizes, initial=0))
+    store = np.empty(ends[-1], dtype=dtype)
+    tables = [store[a:b] for a, b in zip(ends, ends[1:])]
+    for (period, members), table in zip(groups, tables):
+        t = np.zeros(1, dtype=np.int64)
+        for d in members:
+            if t.size % d:
+                t = _repeat_to(t, math.lcm(t.size, d))
+            rows = t.reshape(-1, d)
+            rows += parts[d]
+        table.reshape(-1, period)[...] = t
+    return tables
+
+
+def _repeat_to(t: np.ndarray, size: int) -> np.ndarray:
+    """t repeated to size entries, a multiple of t.size."""
+    out = np.empty(size, dtype=t.dtype)
+    out.reshape(-1, t.size)[...] = t
+    return out
 
 
 def _short_sums(
-    gd: list[int], plan: tuple, x0: int, h: int, p: np.ndarray, box: np.ndarray
+    gd: list[int], sieve: list[int], x0: int, h: int, p: np.ndarray, box: np.ndarray
 ) -> np.ndarray:
     """A(x) = sum_{|k| < h} (h - |k|) f(x + k) for x in (x0, x0 + b], as int64.
 
-    b = box.size - h - 1. f(m) is the plan's periodic pattern at m plus
-    gd[d] for each d in its sieve dividing m (see _periodic_part),
-    tabulated into p (b + 2h entries) only on the block's span
+    b = box.size - h - 1 and f(m) is the sum of gd[d] over the d in sieve
+    dividing m, tabulated into p (b + 2h entries) only on the block's span
     [x0 - h + 1, x0 + b + h - 1]. With box(y) = f(y) + ... + f(y + h - 1),
     A(x) = box(x - h + 1) + ... + box(x), so every partial sum stays below
     (2n + h) h sum|gd|. Both cumulative sums run in place behind the
@@ -306,13 +387,10 @@ def _short_sums(
     overwrites p[1:b + 1]: p and box are the caller's buffers, reused by
     every block.
     """
-    pattern, period, sieve = plan
     b, lo = box.size - h - 1, x0 - h + 1
-    if pattern is None:  # p[1 + i] = f(lo + i)
-        p[1:] = gd[1]
-    else:
-        p[1:] = pattern[lo % period:lo % period + b + 2 * h - 1]
-    for d in sieve:
+    ones = sieve[:1] == [1]  # d = 1 divides every m: a fill, not a sieve pass
+    p[1:] = gd[1] if ones else 0  # p[1 + i] = f(lo + i)
+    for d in sieve[1:] if ones else sieve:
         p[1 + (-lo) % d::d] += gd[d]
     np.add.accumulate(p, out=p)
     np.subtract(p[h:], p[:-h], out=box[1:])  # box[1 + j] = box(lo + j)
@@ -321,21 +399,42 @@ def _short_sums(
 
 
 def _add_periodic(a: np.ndarray, t: np.ndarray, r: int) -> None:
-    """a[i] += t[(r + i) mod q] for every i, q = t.size, in place, with no index array."""
+    """a[i] += t[(r + i) mod t.size] for every i, in place, with no index array."""
+    for dst, src in _periodic_slices(a, t, r):
+        dst += src
+
+
+def _periodic_slices(a: np.ndarray, t: np.ndarray, r: int):
+    """Views (part of a, part of t) pairing a[i] with t[(r + i) mod q], q = t.size.
+
+    A head up to the next period boundary, the whole periods as the rows of
+    one (m, q) view against t, and a tail.
+    """
     q = t.size
-    t = np.concatenate((t[r:], t[:r]))
-    m = a.size // q
-    rows = a[:m * q].reshape(m, q)
-    rows += t
-    a[m * q:] += t[:a.size - m * q]
+    head = min(q - r, a.size)
+    yield a[:head], t[r:r + head]
+    rest = a[head:]
+    m = rest.size // q
+    yield rest[:m * q].reshape(m, q), t
+    yield rest[m * q:], t[:rest.size - m * q]
 
 
 def _multiple_counts(q: int, h: int) -> np.ndarray:
     """t[x mod q] = sum of h - |qm - x| over multiples qm within h of x (x > h)."""
+    return _multiple_counts_each([q], h, [1])[0]
+
+
+def _multiple_counts_each(qs: list[int], h: int, scale: list[int]) -> list[np.ndarray]:
+    """scale[i] times _multiple_counts(qs[i], h) for each i, from one bincount."""
+    if not qs:
+        return []
     k = np.arange(1 - h, h)
-    t = np.zeros(q, dtype=np.int64)
-    np.add.at(t, -k % q, h - np.abs(k))
-    return t
+    ends = list(accumulate(qs, initial=0))
+    idx = -k % np.array(qs, dtype=np.int64)[:, None] + np.array(ends[:-1], dtype=np.int64)[:, None]
+    # float weights: every count is below h**2, exact in float64
+    flat = np.bincount(idx.ravel(), np.tile(h - np.abs(k), len(qs)), ends[-1]).astype(np.int64)
+    flat *= np.repeat(np.array(scale, dtype=np.int64), qs)
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def diagonal_term(cfg: IntegralConfig) -> float:

@@ -162,16 +162,22 @@ def literal_mean_square(g: FunctionTable, n: int, h: int, cutoff: SupportCutoff)
     With Q = cutoff.limit(x + h), f(m) is the sum of g(d) over the divisors
     d <= Q of m, weighted by FejerWindow(h).weight(m - x), and the mean
     h * sum_{d <= Q} g(d)/d is subtracted. The exact oracle of the direct
-    sweep, for either cutoff.
+    sweep, for either cutoff. Within a call each cut divisor sum is formed
+    once per (m, Q) and each mean once per Q, as neighbouring centers share
+    them.
     """
     w = FejerWindow(h)
+    cut_sums: dict[tuple[int, int], Rational] = {}
+    means: dict[int, Rational] = {}
     total = Fraction(0)
     for x in range(n + 1, 2 * n + 1):
         q = cutoff.limit(x + h)
-        short = sum(
-            w.weight(m - x) * sum(g.get(d) for d in divisors(m) if d <= q)
-            for m in range(x - h, x + h + 1)
-        )
-        mean = h * sum(Fraction(g.get(d), d) for d in range(1, q + 1))
-        total += (short - mean) ** 2
+        if q not in means:
+            means[q] = h * sum(Fraction(g.get(d), d) for d in range(1, q + 1))
+        short = 0
+        for m in range(x - h, x + h + 1):
+            if (m, q) not in cut_sums:
+                cut_sums[m, q] = sum(g.get(d) for d in divisors(m) if d <= q)
+            short += w.weight(m - x) * cut_sums[m, q]
+        total += (short - means[q]) ** 2
     return total

@@ -158,14 +158,18 @@ class TestDirect:
             raise AssertionError("work started before the guard")
 
         monkeypatch.setattr(integral_mod.np, "cumsum", untouchable)
-        monkeypatch.setattr(integral_mod, "_periodic_part", untouchable)
+        monkeypatch.setattr(integral_mod, "_table_plan", untouchable)
+        monkeypatch.setattr(integral_mod, "_periodic_tables", untouchable)
         monkeypatch.setattr(integral_mod, "_short_sums", untouchable)
-        # (2N + 2h) h D sum|g| = 40008 * (10^15 + 1) >= 2^63
-        for cutoff in (SupportCutoff.fixed(2), SupportCutoff.power(0.5)):
-            cfg = IntegralConfig(n=10 ** 4, h=2, g=g, cutoff=cutoff)
-            for exact in (False, True):
-                with pytest.raises(ResourceBudgetError, match="int64"):
-                    selberg_integral_direct(cfg, exact=exact)
+        # (2N + 2h) h D sum|g| >= 40008 * (10^15 + 1) >= 2^63; N = 2^17 runs in several blocks,
+        # whose periodic tables would be built first
+        assert 2 ** 17 > integral_mod.SWEEP_BLOCK
+        for n in (10 ** 4, 2 ** 17):
+            for cutoff in (SupportCutoff.fixed(2), SupportCutoff.power(0.5)):
+                cfg = IntegralConfig(n=n, h=2, g=g, cutoff=cutoff)
+                for exact in (False, True):
+                    with pytest.raises(ResourceBudgetError, match="int64"):
+                        selberg_integral_direct(cfg, exact=exact)
 
     def test_homogeneity_exact(self):
         g = random_rational_table(6, seed=77)
@@ -224,13 +228,16 @@ class TestSweepBlocks:
         whole = [selberg_integral_direct(cfg, exact=True) for cfg in configs]
         for cfg, want in zip(configs, whole):
             assert want == literal_mean_square(cfg.g, cfg.n, cfg.h, cfg.cutoff)
-        # SWEEP_BLOCK = 1 gives blocks of 16 Q: 80 centers (pattern period 1) and 192 (period 2);
-        # 400 gives blocks of 400 centers with period 6, the last one short
+        # SWEEP_BLOCK = 1 gives blocks of 16 Q: 80 centers (tables of period at most 20) and 192
+        # (at most 48); 400 gives one block of 300 and blocks of 400 centers, the last one short.
+        # TABLE_LIMIT = 1 keeps one table and sieves the d it leaves over.
         for size in (1, 400):
-            monkeypatch.setattr(integral_mod, "SWEEP_BLOCK", size)
-            for cfg, want in zip(configs, whole):
-                assert selberg_integral_direct(cfg, exact=True) == want
-                assert math.isclose(selberg_integral_direct(cfg), float(want), rel_tol=1e-14)
+            for limit in (1, integral_mod.TABLE_LIMIT):
+                monkeypatch.setattr(integral_mod, "SWEEP_BLOCK", size)
+                monkeypatch.setattr(integral_mod, "TABLE_LIMIT", limit)
+                for cfg, want in zip(configs, whole):
+                    assert selberg_integral_direct(cfg, exact=True) == want
+                    assert math.isclose(selberg_integral_direct(cfg), float(want), rel_tol=1e-14)
 
     def test_power_segment_starting_on_a_block_boundary(self, monkeypatch):
         n, h, theta = 1000, 2, 0.5
@@ -275,6 +282,82 @@ class TestSweepBlocks:
         cfg = IntegralConfig(n=2 ** 21, h=336, g=preset_table(preset, 78), cutoff=SupportCutoff.fixed(78))
         assert float(selberg_integral_direct(cfg, exact=True)) == want
         assert abs(selberg_integral_direct(cfg) - want) <= 4e-16 * want
+
+
+# (N, h, Q) of `msi sweep --n-values 262144,524288,1048576,2097152` under its default rules
+LARGE_SWEEP_ROWS = ((262144, 146, 42), (524288, 194, 51), (1048576, 256, 64), (2097152, 336, 78))
+
+
+def sieve_only_plan(gd, q_max, bound):
+    """A table plan that tables nothing: every d goes through the sieve and the cumulative sums."""
+    return [], [d for d in range(1, q_max + 1) if gd[d]]
+
+
+def route_config(name):
+    """(config, whether the plan tables every d, the tables' integer type) of a multi-block sweep."""
+    n, fixed = 2 ** 17, SupportCutoff.fixed
+    if name in ("mobius", "mobius-squared"):  # the default row at N = 2^18
+        return IntegralConfig(n=2 ** 18, h=146, g=preset_table(name, 42), cutoff=fixed(42)), True, np.int32
+    if name == "random, D = 10^3":
+        return IntegralConfig(n=n, h=64, g=random_rational_table(40, seed=5), cutoff=fixed(40)), True, np.int32
+    if name == "random, D = 10^6":  # (3h + 1) h D sum|g| passes 2^31: int64 tables
+        g = FunctionTable([Fraction(1, 10 ** 6), *random_rational_table(39, seed=5).values])
+        return IntegralConfig(n=n, h=64, g=g, cutoff=fixed(40)), True, np.int64
+    if name == "power:0.5":
+        return IntegralConfig.from_presets(n, 8, "mobius", SupportCutoff.power(0.5)), False, np.int64
+    return IntegralConfig.from_presets(n, 16, "mobius", fixed(300)), False, np.int64
+
+
+ROUTE_CONFIGS = ["mobius", "mobius-squared", "random, D = 10^3", "random, D = 10^6", "power:0.5", "fixed Q = 300"]
+
+
+class TestPeriodicTables:
+    @pytest.mark.parametrize("name", ROUTE_CONFIGS)
+    def test_tables_and_sieve_give_one_answer(self, name, monkeypatch):
+        cfg, all_tabled, dtype = route_config(name)
+        assert cfg.n > integral_mod.SWEEP_BLOCK
+        plans, types = [], []
+        plan, build = integral_mod._table_plan, integral_mod._periodic_tables
+
+        def spy_plan(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        def spy_build(gd, groups, h, bound, dt):
+            types.append(dt)
+            return build(gd, groups, h, bound, dt)
+
+        monkeypatch.setattr(integral_mod, "_table_plan", spy_plan)
+        monkeypatch.setattr(integral_mod, "_periodic_tables", spy_build)
+        got, got_exact = selberg_integral_direct(cfg), selberg_integral_direct(cfg, exact=True)
+        groups, sieve = plans[0]
+        assert groups and (not sieve) == all_tabled and types[0] == dtype
+        if not all_tabled:
+            assert len(groups) == 1
+        monkeypatch.setattr(integral_mod, "_table_plan", sieve_only_plan)
+        assert selberg_integral_direct(cfg).hex() == got.hex()
+        assert selberg_integral_direct(cfg, exact=True) == got_exact
+
+    def test_default_rows_skip_the_cumulative_sums(self, monkeypatch):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the sieve and cumulative sums ran")
+
+        monkeypatch.setattr(integral_mod, "_short_sums", untouchable)
+        monkeypatch.setattr(integral_mod.np, "cumsum", untouchable)
+        for n, h, q in LARGE_SWEEP_ROWS:
+            for preset in ("mobius", "mobius-squared"):
+                cfg = IntegralConfig(n=n, h=h, g=preset_table(preset, q), cutoff=SupportCutoff.fixed(q))
+                assert selberg_integral_direct(cfg) > 0
+
+    def test_plan_groups_stay_within_the_bound(self):
+        for preset, q, bound in (("mobius", 78, 16384), ("random:4", 60, 16384), ("unit", 24, 96)):
+            gd = integral_mod.integer_scaled(preset_table(preset, q), q)[1]
+            groups, sieve = integral_mod._table_plan(gd, q, bound)
+            members = [d for _, ds in groups for d in ds]
+            assert sorted(members + sieve) == [d for d in range(1, q + 1) if gd[d]]
+            assert len(members) == len(set(members))
+            for period, ds in groups:
+                assert period <= bound and period == math.lcm(*ds)
 
 
 class TestExpSum:
