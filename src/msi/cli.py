@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,15 @@
 """Mean square of the centered short sums over x in (N, 2N], two ways.
 
 The direct route sweeps centers in blocks: O(N) time and O(block + Q)
-memory. A sweep of several blocks sums shared periodic tables of the
-window-weighted multiple counts of each d, made once per call; a sweep of
-one block, and the d the tables leave over, tabulate f = g*1 on the
-block's span and take two cumulative sums. The spectral route rebuilds
-the same quantity from Ramanujan coefficients, window-kernel values at
-Farey fractions, and closed-form exponential x-sums, split into diagonal,
-nearby (separation <= 1/A) and well-spaced (> 1/A) parts; their total must
-reconstruct the direct value.
+memory. Each block adds one list of shared periodic tables of the
+window-weighted multiple counts of d, made once per call: the planned
+groups of a sweep of several blocks and the q a power cutoff adds past its
+first bound. A sweep of one block, and the d the groups leave over,
+tabulate f = g*1 on the block's span and take two cumulative sums. The
+spectral route rebuilds the same quantity from Ramanujan coefficients,
+window-kernel values at Farey fractions, and closed-form exponential
+x-sums, split into diagonal, nearby (separation <= 1/A) and well-spaced
+(> 1/A) parts; their total must reconstruct the direct value.
 
 The direct sweep is one integer kernel for fixed and growing cutoffs: g is
 scaled to integers by its common denominator, the short sums are exact
@@ -176,17 +177,19 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
     reduced on its own span in two buffers reused by every block, so memory
     is O(block + Q) at any n (plus one table per added q of a power
     cutoff); a block's A is the integer slice the whole sweep would give.
-    A sweep of one block tabulates f D on the block's span by sieving each
-    d and takes A as a box sum of box sums, two int64 cumulative sums. A
-    sweep of several blocks first plans the d <= Q0 with g(d) != 0 into
-    groups whose lcm is at most block / TABLE_SHARE (16384 at the default
-    block) and makes one periodic table per group, once per call
-    (_table_plan, _periodic_tables), with round(c) folded into the first.
-    When at most TABLE_LIMIT groups hold every d, a block's A is a copy of
-    the first table plus the others, with no sieve and no cumulative sum,
-    in int32 when (3h + 1) h D sum|g| < 2**31 - 1 bounds every value and
-    else in int64. Otherwise only the first group's table is made, and the
-    d it leaves over are sieved and summed as in a one-block sweep.
+    Every periodic table the sweep adds is one (first center index, table)
+    entry of one list, made once per call from one bincount
+    (_periodic_tables): each added q of a power cutoff from its first center
+    on, and in a sweep of several blocks one table per group of the d <= Q0
+    with g(d) != 0, planned with lcm at most block / TABLE_SHARE (16384 at
+    the default block) by _table_plan, from center 0 on, with round(c)
+    folded into the first. When at most TABLE_LIMIT groups hold every d, a
+    block's A is a copy of the first table plus the others, with no sieve
+    and no cumulative sum, in int32 when (3h + 1) h D sum|g| < 2**31 - 1
+    bounds every value and else in int64. Otherwise only the first group's
+    table is made, and A is the other tables plus the d it leaves over
+    (every d <= Q0 in a sweep of one block), sieved into f D on the block's
+    span and taken as a box sum of box sums: two int64 cumulative sums.
 
     Only the last reduction depends on exact. The default sums
     ((A - round(c)) - (c - round(c)))**2 in float64, with numpy's pairwise
@@ -216,22 +219,24 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
     else:
         groups, sieve = [], [d for d in range(1, q0 + 1) if gd[d]]
     centers = range(n + 1, 2 * n + 1)
-    added = [q for q in range(q0 + 1, q_top + 1) if gd[q]]
-    tables = [  # (first center index, q, g(q) D times q's multiple counts)
-        (bisect_left(centers, q, key=lambda x: cutoff.limit(x + h)), q, t)
-        for q, t in zip(added, _multiple_counts_each(added, h, [gd[q] for q in added]))
+    added = [  # (first center index, q) of each q the support reaches past Q0
+        (bisect_left(centers, q, key=lambda x: cutoff.limit(x + h)), q)
+        for q in range(q0 + 1, q_top + 1) if gd[q]
     ]
-    segments = _segment_means(gd, h, [(0, q0)] + [(s, q) for s, q, _ in tables], n, exact)
+    segments = _segment_means(gd, h, [(0, q0)] + added, n, exact)
     from_tables = bool(groups) and not sieve
     # |A - round(c)| and every partial sum of tables and means is at most (3h + 1) h sum|gd| + 1/2
     narrow = from_tables and (3 * h + 1) * h * mass < 2 ** 31 - 1
     dtype = np.int32 if narrow else np.int64
-    periodic = _periodic_tables(gd, groups, h, block // TABLE_SHARE, dtype) if groups else []
-    folded = segments[0][2] if periodic else 0
-    if periodic:
-        periodic[0] -= folded
+    tables, folded = [], 0  # (first center index, table) of every table the blocks add
+    if groups or added:  # a one-block fixed sweep builds nothing
+        tables = _periodic_tables(gd, groups, added, h, block // TABLE_SHARE, dtype)
+    if groups:
+        folded = segments[0][2]
+        tables[0][1][...] -= folded
     if from_tables:  # buffers of the largest block, reused by all
-        acc, dev = np.empty(block, dtype=periodic[0].dtype), np.empty(block)
+        acc, dev = np.empty(block, dtype=dtype), np.empty(block)
+        base, tables = tables[0][1], tables[1:]
     else:
         p = np.zeros(block + 2 * h, dtype=np.int64)
         box = np.zeros(block + h + 1, dtype=np.int64)
@@ -241,17 +246,15 @@ def selberg_integral_direct(cfg: IntegralConfig, exact: bool = False) -> Union[f
         b = min(block, n - c0)
         x = n + c0 + 1  # the block's first center
         if from_tables:
-            a, rest = acc[:b], periodic[1:]
-            for dst, src in _periodic_slices(a, periodic[0], x % periodic[0].size):
+            a = acc[:b]
+            for dst, src in _periodic_slices(a, base, x % base.size):
                 dst[...] = src
         else:
-            a, rest = _short_sums(gd, sieve, n + c0, h, p[:b + 2 * h], box[:b + h + 1]), periodic
-        for t in rest:
-            _add_periodic(a, t, x % t.size)
-        for start, q, t in tables:
+            a = _short_sums(gd, sieve, n + c0, h, p[:b + 2 * h], box[:b + h + 1])
+        for start, t in tables:
             s = max(start - c0, 0)
             if s < b:
-                _add_periodic(a[s:], t, (x + s) % q)
+                _add_periodic(a[s:], t, (x + s) % t.size)
         for start, end, r, e in segments:
             lo, hi = max(start - c0, 0), min(end - c0, b)
             if lo >= hi:
@@ -338,39 +341,30 @@ def _table_plan(gd: list[int], q_max: int, bound: int) -> tuple[list[list], list
 
 
 def _periodic_tables(
-    gd: list[int], groups: list[list], h: int, bound: int, dtype: type
-) -> list[np.ndarray]:
-    """One table per group of _table_plan: table[x mod size] = sum of gd[d] t_d(x) over its d.
+    gd: list[int], groups: list[list], added: list[tuple[int, int]], h: int, bound: int, dtype: type
+) -> list[tuple[int, np.ndarray]]:
+    """(first center index, table) per group of _table_plan, from 0, then per added (start, q).
 
-    t_d = _multiple_counts(d, h). A table is built as its d join, on the
-    lcm of the d so far, and repeated to the least multiple of the group's
-    lcm above bound / TABLE_SHARE (4096 at the default block): numpy adds
-    rows longer than 4096 entries about 1.6 times as fast as shorter ones,
-    in int64 and in int32. All tables share one array of dtype, which must
-    hold every value.
+    table[x mod size] = sum of gd[d] t_d(x) over its d, t_d = _multiple_counts(d, h), all
+    from one bincount. A group sums its d on their lcm in int64, one reshaped add per d,
+    and repeats that to the least multiple of the lcm above bound / TABLE_SHARE (4096 at
+    the default block) in dtype, which must hold every value: numpy adds rows longer than
+    4096 entries about 1.6 times as fast as shorter ones, in int64 and in int32. The group
+    tables share one array: held apart, the default sweep rows ran about 6% slower in a
+    fresh process. An added q's table is its int64 slice of the bincount, q entries.
     """
-    tabled = [d for _, members in groups for d in members]
-    parts = dict(zip(tabled, _multiple_counts_each(tabled, h, [gd[d] for d in tabled])))
-    sizes = [period * (bound // TABLE_SHARE // period + 1) for period, _ in groups]
-    ends = list(accumulate(sizes, initial=0))
+    tabled = [d for _, ds in groups for d in ds] + [q for _, q in added]
+    parts = iter(_multiple_counts_each(tabled, h, [gd[d] for d in tabled]))
+    ends = list(accumulate((p * (bound // TABLE_SHARE // p + 1) for p, _ in groups), initial=0))
     store = np.empty(ends[-1], dtype=dtype)
-    tables = [store[a:b] for a, b in zip(ends, ends[1:])]
-    for (period, members), table in zip(groups, tables):
-        t = np.zeros(1, dtype=np.int64)
-        for d in members:
-            if t.size % d:
-                t = _repeat_to(t, math.lcm(t.size, d))
-            rows = t.reshape(-1, d)
-            rows += parts[d]
-        table.reshape(-1, period)[...] = t
-    return tables
-
-
-def _repeat_to(t: np.ndarray, size: int) -> np.ndarray:
-    """t repeated to size entries, a multiple of t.size."""
-    out = np.empty(size, dtype=t.dtype)
-    out.reshape(-1, t.size)[...] = t
-    return out
+    tables = []
+    for (period, ds), lo, hi in zip(groups, ends, ends[1:]):
+        t = np.zeros(period, dtype=np.int64)
+        for d in ds:
+            t.reshape(-1, d)[...] += next(parts)
+        store[lo:hi].reshape(-1, period)[...] = t
+        tables.append((0, store[lo:hi]))
+    return tables + [(start, t) for (start, _), t in zip(added, parts)]
 
 
 def _short_sums(
@@ -698,7 +692,7 @@ def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
     misrouted; those few are compared as Fractions.
     """
     key = p / r
-    cut = float(threshold)
+    cut = float(min(threshold, 1))  # every key is at most 1/2; a tiny A's 1/A overflows a float
     near = key < cut
     for t in np.flatnonzero(key == cut).tolist():
         near[t] = Fraction(int(p[t]), int(r[t])) <= threshold

@@ -228,6 +228,33 @@ def test_int64_guard_exit_code(capsys):
     assert "int64" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--kind", "mobius", "--max-n", "5"],
+        ["farey", "--q", "5"],
+        ["sweep", "--n-values", "256"],
+        ["verify", "--suite", "spectral", "--fast"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_tiny_spacing_parameter_makes_every_pair_near(capsys):
+    # 1/A = 1e320 is beyond the float range
+    code, out, _ = run(
+        capsys, "integral", "--n", "100", "--h", "2", "--q", "5", "--g", "mobius",
+        "--decompose", "--a", "1e-320",
+    )
+    assert code == 0
+    pairs = json.loads(out)["pairs"]
+    assert pairs["far_difference"] == pairs["far_wrapped_sum"] == 0 < pairs["near_difference"]
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_fast_suite(capsys, tmp_path, suite):
     report_path = tmp_path / "report.json"

@@ -157,7 +157,7 @@ class TestDirect:
         def untouchable(*args, **kwargs):
             raise AssertionError("work started before the guard")
 
-        monkeypatch.setattr(integral_mod.np, "cumsum", untouchable)
+        monkeypatch.setattr(integral_mod, "_multiple_counts_each", untouchable)
         monkeypatch.setattr(integral_mod, "_table_plan", untouchable)
         monkeypatch.setattr(integral_mod, "_periodic_tables", untouchable)
         monkeypatch.setattr(integral_mod, "_short_sums", untouchable)
@@ -305,10 +305,15 @@ def route_config(name):
         return IntegralConfig(n=n, h=64, g=g, cutoff=fixed(40)), True, np.int64
     if name == "power:0.5":
         return IntegralConfig.from_presets(n, 8, "mobius", SupportCutoff.power(0.5)), False, np.int64
+    if name == "power:0.3":  # 4 groups hold every d <= Q0 = 34; q = 35..42 are added
+        return IntegralConfig.from_presets(n, 16, "mobius", SupportCutoff.power(0.3)), True, np.int32
     return IntegralConfig.from_presets(n, 16, "mobius", fixed(300)), False, np.int64
 
 
-ROUTE_CONFIGS = ["mobius", "mobius-squared", "random, D = 10^3", "random, D = 10^6", "power:0.5", "fixed Q = 300"]
+ROUTE_CONFIGS = [
+    "mobius", "mobius-squared", "random, D = 10^3", "random, D = 10^6",
+    "power:0.5", "power:0.3", "fixed Q = 300",
+]
 
 
 class TestPeriodicTables:
@@ -316,24 +321,43 @@ class TestPeriodicTables:
     def test_tables_and_sieve_give_one_answer(self, name, monkeypatch):
         cfg, all_tabled, dtype = route_config(name)
         assert cfg.n > integral_mod.SWEEP_BLOCK
-        plans, types = [], []
+        plans, types, starts, bincounts = [], [], [], []
         plan, build = integral_mod._table_plan, integral_mod._periodic_tables
+        counts = integral_mod._multiple_counts_each
 
         def spy_plan(*args):
             plans.append(plan(*args))
             return plans[-1]
 
-        def spy_build(gd, groups, h, bound, dt):
+        def spy_build(gd, groups, added, h, bound, dt):
             types.append(dt)
-            return build(gd, groups, h, bound, dt)
+            tables = build(gd, groups, added, h, bound, dt)
+            starts.append([start for start, _ in tables])
+            return tables
+
+        def spy_counts(qs, *args):
+            bincounts.append(list(qs))
+            return counts(qs, *args)
 
         monkeypatch.setattr(integral_mod, "_table_plan", spy_plan)
         monkeypatch.setattr(integral_mod, "_periodic_tables", spy_build)
+        monkeypatch.setattr(integral_mod, "_multiple_counts_each", spy_counts)
         got, got_exact = selberg_integral_direct(cfg), selberg_integral_direct(cfg, exact=True)
         groups, sieve = plans[0]
         assert groups and (not sieve) == all_tabled and types[0] == dtype
         if not all_tabled:
             assert len(groups) == 1
+        # one list: the groups from center 0, then each added q with g(q) != 0 from where Q(x + h) reaches it
+        cut, n, h = cfg.cutoff, cfg.n, cfg.h
+        q0 = cut.limit(n + h + 1)
+        added = [q for q in range(q0 + 1, min(cut.limit(2 * n + h), cfg.g.max_n) + 1) if cfg.g[q]]
+        assert starts[0][:len(groups)] == [0] * len(groups) and len(starts[0]) == len(groups) + len(added)
+        for q, i in zip(added, starts[0][len(groups):]):  # center n + 1 + i is the first with Q(x + h) >= q
+            assert cut.limit(n + i + h) < q <= cut.limit(n + 1 + i + h)
+        # one bincount per sweep forms every table
+        assert bincounts == [[d for _, ds in groups for d in ds] + added] * 2
+        if name == "power:0.3":
+            assert (len(groups), q0, len(added)) == (4, 34, 6)
         monkeypatch.setattr(integral_mod, "_table_plan", sieve_only_plan)
         assert selberg_integral_direct(cfg).hex() == got.hex()
         assert selberg_integral_direct(cfg, exact=True) == got_exact
@@ -342,12 +366,22 @@ class TestPeriodicTables:
         def untouchable(*args, **kwargs):
             raise AssertionError("the sieve and cumulative sums ran")
 
+        calls = []
+        counts = integral_mod._multiple_counts_each
+
+        def spy_counts(*args):
+            calls.append(len(args[0]))
+            return counts(*args)
+
         monkeypatch.setattr(integral_mod, "_short_sums", untouchable)
-        monkeypatch.setattr(integral_mod.np, "cumsum", untouchable)
+        monkeypatch.setattr(integral_mod, "_multiple_counts_each", spy_counts)
         for n, h, q in LARGE_SWEEP_ROWS:
             for preset in ("mobius", "mobius-squared"):
                 cfg = IntegralConfig(n=n, h=h, g=preset_table(preset, q), cutoff=SupportCutoff.fixed(q))
+                calls.clear()
                 assert selberg_integral_direct(cfg) > 0
+                # every table from one bincount over the d <= Q with g(d) != 0
+                assert calls == [sum(1 for d in range(1, q + 1) if cfg.g[d])]
 
     def test_plan_groups_stay_within_the_bound(self):
         for preset, q, bound in (("mobius", 78, 16384), ("random:4", 60, 16384), ("unit", 24, 96)):
@@ -636,6 +670,14 @@ class TestPairKernelOracle:
         rep = assert_matches_reference(cfg)
         assert rep.pairs["near_difference"] == 1
         assert rep.near_delta != 0.0
+
+    def test_tiny_a_makes_every_pair_near(self):
+        # 1/A = 1e320 is beyond the float range; every key is at most 1/2, so every pair is NEAR
+        cfg = IntegralConfig(n=100, h=2, g=preset_table("mobius", 5), cutoff=SupportCutoff.fixed(5), a=1e-320)
+        rep = assert_matches_reference(cfg)
+        pairs = rep.pairs["fractions"] * (rep.pairs["fractions"] - 1) // 2
+        assert rep.pairs["near_difference"] == rep.pairs["near_wrapped_sum"] == pairs > 0
+        assert rep.far_delta == rep.far_sigma == 0.0
 
     def test_float_ties_are_settled_exactly(self):
         # float(1/A) == float(1/7) in both cases; exactly 1/A < 1/7 for the first A, = for the second,
