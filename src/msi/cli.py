@@ -100,11 +100,15 @@ def _config_json(cfg: IntegralConfig) -> dict:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, fast=args.fast)
-    payload = report.to_json()
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    stream, close = _open_out(args.out)  # before the suite: a bad --out fails before any property
+    try:
+        report = run_suite(args.suite, fast=args.fast)
+        payload = report.to_json()
+        if close:
+            json.dump(payload, stream, indent=2)
+    finally:
+        if close:
+            stream.close()
     print(json.dumps(payload, indent=2))
     return 0 if report.passed else 1
 

@@ -40,7 +40,7 @@ from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficie
 
 PAIR_BUDGET = 10 ** 7
 MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
-PAIR_BLOCK = 1 << 13  # oriented pairs per row block; both modes' x-sums run on twice as many
+PAIR_BLOCK = 1 << 12  # oriented pairs per row block; both modes' x-sums run on twice as many
 SWEEP_BLOCK = 1 << 16  # centers per block of the direct sweep, at least 16 Q0
 TABLE_SHARE = 4  # a periodic table of the sweep spans at most block / TABLE_SHARE centers
 TABLE_LIMIT = 12  # most periodic tables a block adds in place of its two cumulative sums
@@ -446,8 +446,8 @@ def diagonal_term(cfg: IntegralConfig) -> float:
     if cfg.cutoff.q < 2:
         return 0.0
     _check_int64_range(cfg)
-    num, den, r, big_f = _farey_arrays(cfg)
-    return _diagonal(num, den, r, big_f, cfg.n)
+    num, den, w = _weighted(*_farey_arrays(cfg))
+    return _diagonal(num, den, w, _angle_table(num, den, cfg.n), cfg.n)
 
 
 def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> DecompositionReport:
@@ -457,11 +457,17 @@ def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> Dec
     R F(u) * R F(v) * (X(delta) + X(sigma)) with X(alpha) the closed-form
     cosine x-sum; the partition at 1/A routes the delta term to near_delta
     or far_delta and the sigma term to near_sigma or far_sigma. The
-    fractions are held as int64 num/den arrays with one weight vector,
-    shared by the diagonal and the pair sums; pairs go in bounded row
-    blocks. report.pairs counts fractions, pairs per side and mode (over
-    all oriented pairs, as spaced_pair_partition does), and fractions of
-    weight zero.
+    fractions are held as int64 num/den arrays with one weight vector;
+    the diagonal and the pair terms run over the fractions of nonzero
+    weight only and share one table of their sines and cosines at
+    pi (4N + 1) u and pi (2N + 1) u (_angle_table), from which every
+    x-sum numerator follows by angle addition. report.pairs counts
+    fractions, pairs per side and mode (over all oriented pairs, as
+    spaced_pair_partition does), and fractions of weight zero: every key
+    p/r has p >= 1 and r <= Q**2, so for A > Q**2 no pair is NEAR and the
+    counts need no pass; otherwise one count pass over all pairs applies
+    the exact NEAR test, and the term pass routes the weighted pairs
+    with the same test (_pair_sums).
 
     Raises:
         ResourceBudgetError: before any work, when the oriented pair count
@@ -486,9 +492,11 @@ def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> Dec
             f"{pair_count} oriented fraction pairs exceed the budget {PAIR_BUDGET}; "
             "pass force=True to run anyway"
         )
-    num, den, r, big_f = _farey_arrays(cfg)
-    diag = _diagonal(num, den, r, big_f, n)
-    parts, pairs = _pair_sums(num, den, r * big_f, n, cfg.a_value)
+    num, den, w = _farey_arrays(cfg)
+    weighted = _weighted(num, den, w)
+    table = _angle_table(*weighted[:2], n)
+    diag = _diagonal(*weighted, table, n)
+    parts, pairs = _pair_sums(num, den, weighted, table, n, cfg.a_value)
     near_delta, near_sigma, far_delta, far_sigma = parts
     direct = selberg_integral_direct(cfg)
     total = diag + near_delta + near_sigma + far_delta + far_sigma
@@ -506,10 +514,10 @@ def selberg_integral_decomposed(cfg: IntegralConfig, force: bool = False) -> Dec
 
 
 def _check_int64_range(cfg: IntegralConfig) -> None:
-    """Refuse configurations whose x-sum angles (4N + 1) p could leave int64.
+    """Refuse configurations whose x-sum angles (4N + 1) u could leave int64.
 
-    Keys p <= r <= Q**2, so every product the kernel forms, at most
-    (4N + 1) Q**2, stays below 2 Q**2 (3N + 1).
+    The angle table forms at most 2 (4N + 1) num + den <= (4N + 2) Q and
+    the pair keys p <= r <= Q**2, all below the guard 2 Q**2 (3N + 1).
     """
     q_max, n = cfg.cutoff.q, cfg.n
     if 2 * q_max * q_max * (3 * n + 1) >= 2 ** 63:
@@ -520,90 +528,157 @@ def _check_int64_range(cfg: IntegralConfig) -> None:
 
 
 def _farey_arrays(cfg: IntegralConfig) -> tuple[np.ndarray, ...]:
-    """num, den (int64), R_den and F_h(num/den) over farey_columns(Q).
+    """num, den (int64) over farey_columns(Q) and the weights R_den F_h(num/den).
 
     One exact R_l per denominator from one integer pass over g, rounded
-    once to float; the spectral weight of a fraction is R_den * F_h(num/den).
+    once to float.
     """
     q_max = cfg.cutoff.q
     r = np.array([0.0] + [a / b for a, b in _ramanujan_ratios(cfg.g, q_max)])
     num, den = farey_columns(q_max)
-    return num, den, r[den], den * _coefficients(num, den, cfg.h)
+    return num, den, r[den] * (den * _coefficients(num, den, cfg.h))
 
 
-def _diagonal(num: np.ndarray, den: np.ndarray, r: np.ndarray, big_f: np.ndarray, n: int) -> float:
-    keep = (r != 0.0) & (big_f != 0.0)
-    r, big_f = r[keep], big_f[keep]
-    if not r.size:  # Q = 2 with h even: F_h(1/2) = 0
-        return 0.0
-    cos_sq = 0.5 * n + 0.5 * _x_sum_array(2 * num[keep], den[keep], n)
-    return fsum((r * r * big_f * big_f * cos_sq).tolist())
+def _weighted(num: np.ndarray, den: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """num, den and w of the fractions of nonzero weight, in order."""
+    keep = w != 0.0
+    return num[keep], den[keep], w[keep]
 
 
-def _x_sum_array(p: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
-    """Re sum_{x=n+1}^{2n} e(x p / r) for int64 arrays 0 <= p <= r (r broadcasts).
+def _angle_table(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
+    """Rows sin(pi m u) for m = 4n + 1, 2n + 1, then cos(pi m u) for both, u = num / den.
 
-    The closed form (sin(pi (4n+1) p / r) - sin(pi (2n+1) p / r)) /
-    (2 sin(pi p / r)), and n where r | p (exactly where the denominator sine
-    is 0.0). Every product is at most (4n + 1) r, inside the int64 guard,
-    and _sin_pi_ratio reduces each angle exactly before any sin.
+    One _sin_pi_ratio call; cos(pi t / r) is sin(pi (2t + r) / 2r), so
+    every angle is reduced exactly before its one sine.
+    """
+    t = np.array([[4 * n + 1], [2 * n + 1]]) * num
+    return _sin_pi_ratio(np.concatenate((t, 2 * t + den)), np.array([[1], [1], [2], [2]]) * den)
+
+
+def _x_sums(numer: np.ndarray, p: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """Re sum_{x=n+1}^{2n} e(x p / r) from numer = sin(pi (4n+1) p/r) - sin(pi (2n+1) p/r).
+
+    The closed form numer / (2 sin(pi p / r)) with one exactly reduced sine
+    per key, and n where r | p (exactly where that sine is 0.0).
     """
     s = _sin_pi_ratio(p, r)
     whole = s == 0.0
-    diff = _sin_pi_ratio((4 * n + 1) * p, r) - _sin_pi_ratio((2 * n + 1) * p, r)
-    return np.where(whole, float(n), diff / np.where(whole, 1.0, 2.0 * s))
+    return np.where(whole, float(n), numer / np.where(whole, 1.0, 2.0 * s))
 
 
-def _pair_sums(
-    num: np.ndarray, den: np.ndarray, w: np.ndarray, n: int, a: float
-) -> tuple[tuple[float, float, float, float], dict]:
-    """(near_delta, near_sigma, far_delta, far_sigma) and the pair counters.
+def _diagonal_x_sums(num: np.ndarray, den: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """X(2u) per fraction of the table: numerators by the double angle 2 s c, denominator sin(2 pi u)."""
+    sin_a, sin_b, cos_a, cos_b = table
+    return _x_sums(2 * sin_a * cos_a - 2 * sin_b * cos_b, 2 * num, den, n)
 
-    Oriented pairs i > k of the ascending sequence go in row blocks of at
-    most PAIR_BLOCK pairs. Keys are p / r with r = den_i den_k and
-    p = num_i den_k -/+ num_k den_i (sigma folded to min(p, r - p), the
-    wrapped_sum pair_key of spaced_pair_partition). Every block but the last adds its
-    terms to exact per-part exponent buckets (_ExactSums); the last block
-    and the buckets go into one math.fsum per part, so each part equals one
-    fsum over all its terms whatever the block size, and a decomposition of
-    one block is four plain fsums.
+
+def _diagonal(num: np.ndarray, den: np.ndarray, w: np.ndarray, table: np.ndarray, n: int) -> float:
+    """Sum of w**2 (n/2 + X(2u)/2), the cosine-square x-sums, over fractions of nonzero weight w."""
+    if not w.size:  # Q = 2 with h even: F_h(1/2) = 0
+        return 0.0
+    return fsum((w * w * (0.5 * n + 0.5 * _diagonal_x_sums(num, den, table, n))).tolist())
+
+
+def _pair_keys(num: np.ndarray, den: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys (p, r) of the pairs (u, v) = idx: r = den_u den_v, and p rows delta and folded sigma.
+
+    p / r = u - v and min(u + v, 1 - u - v), the pair_key of
+    spaced_pair_partition in each mode.
     """
-    threshold = 1 / Fraction(a)
-    m = num.size
-    nonzero = w != 0.0
-    carry = _ExactSums(4)
-    parts = (0.0, 0.0, 0.0, 0.0)
-    counts = dict.fromkeys(PAIR_COUNTERS, 0)
-    counts["fractions"] = m
-    counts["zero_weight_fractions"] = int(m - np.count_nonzero(nonzero))
+    d = den[idx]
+    cross = num[idx] * d[::-1]  # num_u den_v, num_v den_u
+    r = d[0] * d[1]
+    p = np.empty_like(cross)
+    np.subtract(cross[0], cross[1], out=p[0])
+    np.add(cross[0], cross[1], out=p[1])
+    np.minimum(p[1], r - p[1], out=p[1])
+    return p, r
+
+
+def _pair_x_sums(num: np.ndarray, den: np.ndarray, table: np.ndarray, idx: np.ndarray, n: int):
+    """(p, r, X) of the pairs (u, v) = idx: keys as _pair_keys, and X at both keys (_x_sums)."""
+    p, r = _pair_keys(num, den, idx)
+    return p, r, _x_sums(_pair_numerators(table, idx), p, r, n)
+
+
+def _pair_numerators(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sin(pi (4n+1) alpha) - sin(pi (2n+1) alpha) per mode (rows delta, sigma) and pair.
+
+    Angle addition on the table of _angle_table, sin(pi m (u -/+ v)) =
+    s_u c_v -/+ c_u s_v; folding sigma to 1 - sigma leaves the sines as
+    they are, since m is odd. A function of its own, so that its gathers
+    are freed before _x_sums reduces the keys' sines.
+    """
+    g = np.take(table, idx, axis=1)  # [table row, u or v, pair]
+    sc = g[:2, 0] * g[2:, 1]  # sin(pi m u) cos(pi m v), one row per m
+    cs = g[2:, 0] * g[:2, 1]
+    sines = np.empty((2,) + sc.shape)  # sin(pi m alpha): [mode, m, pair]
+    np.subtract(sc, cs, out=sines[0])
+    np.add(sc, cs, out=sines[1])
+    return sines[:, 0] - sines[:, 1]
+
+
+def _pair_rows(m: int):
+    """(idx, last) per row block of the oriented pairs i > k of range(m): idx rows i and k.
+
+    A block holds at most PAIR_BLOCK pairs, or one row when a row holds more.
+    """
     rows_per_block = max(1, PAIR_BLOCK // max(m, 1))  # row i holds i < m pairs
     for i0 in range(1, m, rows_per_block):  # row 0 holds none
         rows = np.arange(i0, min(i0 + rows_per_block, m))
-        ii = np.repeat(rows, rows)
-        kk = np.arange(ii.size) - np.repeat(np.cumsum(rows) - rows, rows)
-        cross_i = num[ii] * den[kk]
-        cross_k = num[kk] * den[ii]
-        r = den[ii] * den[kk]
-        dp = cross_i - cross_k
-        sp = cross_i + cross_k
-        sp = np.minimum(sp, r - sp)  # distance of u + v to the nearest integer
-        near_d = _near(dp, r, threshold)
-        near_s = _near(sp, r, threshold)
-        n_near_d = int(np.count_nonzero(near_d))
-        n_near_s = int(np.count_nonzero(near_s))
-        counts["near_difference"] += n_near_d
-        counts["far_difference"] += ii.size - n_near_d
-        counts["near_wrapped_sum"] += n_near_s
-        counts["far_wrapped_sum"] += ii.size - n_near_s
-        keep = nonzero[ii] & nonzero[kk]
-        wp = w[ii[keep]] * w[kk[keep]]
-        r = r[keep]
-        terms = wp * _x_sum_array(np.stack((dp[keep], sp[keep])), r, n)
-        near_d, near_s = near_d[keep], near_s[keep]
-        if i0 + rows_per_block < m:
-            carry.add(terms, np.where(np.stack((near_d, near_s)), _NEAR_PARTS, _FAR_PARTS))
+        idx = np.empty((2, int(rows.sum())), dtype=np.int64)
+        idx[0] = np.repeat(rows, rows)
+        np.subtract(np.arange(idx.shape[1]), np.repeat(np.cumsum(rows) - rows, rows), out=idx[1])
+        yield idx, i0 + rows_per_block >= m
+
+
+def _pair_sums(
+    num: np.ndarray, den: np.ndarray, weighted: tuple, table: np.ndarray, n: int, a: float
+) -> tuple[tuple[float, float, float, float], dict]:
+    """(near_delta, near_sigma, far_delta, far_sigma) and the pair counters.
+
+    num and den hold every fraction; weighted holds the num, den and
+    weight of those of nonzero weight (_weighted) and table their
+    _angle_table. Every key p/r has p >= 1 and r <= Q**2, so its value is
+    at least 1/Q**2: when A > Q**2 (an exact comparison) no pair is NEAR,
+    and every pair is counted FAR with no pass and no _near. Otherwise a
+    count pass runs _near over all oriented pairs in row blocks. The term
+    pass runs over the pairs of weighted fractions only, in row blocks of
+    at most PAIR_BLOCK pairs, and routes each term with the same _near
+    when A <= Q**2. Every term block but the last adds its terms to exact
+    per-part exponent buckets (_ExactSums); the last block and the buckets
+    go into one math.fsum per part, so each part equals one fsum over all
+    its terms whatever the block size, and a decomposition of one block is
+    four plain fsums.
+    """
+    threshold = 1 / Fraction(a)
+    m = num.size
+    q_max = int(den.max(initial=0))
+    any_near = not a > q_max * q_max  # Python compares a float and an int exactly
+    n_near = np.zeros(2, dtype=np.int64)  # difference, wrapped_sum
+    for idx, _ in _pair_rows(m) if any_near else ():
+        n_near += np.count_nonzero(_near(*_pair_keys(num, den, idx), threshold), axis=1)
+    near_d, near_s = n_near.tolist()
+    pair_count = m * (m - 1) // 2
+    counts = {
+        "fractions": m,
+        "near_difference": near_d,
+        "far_difference": pair_count - near_d,
+        "near_wrapped_sum": near_s,
+        "far_wrapped_sum": pair_count - near_s,
+        "zero_weight_fractions": m - weighted[0].size,
+    }
+    w_num, w_den, w_val = weighted
+    carry = _ExactSums(4)
+    parts = (0.0, 0.0, 0.0, 0.0)
+    for idx, last in _pair_rows(w_num.size):
+        p, r, x = _pair_x_sums(w_num, w_den, table, idx, n)
+        terms = w_val[idx[0]] * w_val[idx[1]] * x
+        near = _near(p, r, threshold) if any_near else np.zeros(p.shape, dtype=bool)
+        if not last:
+            carry.add(terms, np.where(near, _NEAR_PARTS, _FAR_PARTS))
         else:
-            term_d, term_s = terms
+            (term_d, term_s), (near_d, near_s) = terms, near
             blocks = (term_d[near_d], term_s[near_s], term_d[~near_d], term_s[~near_s])
             parts = tuple(carry.total(j, t) for j, t in enumerate(blocks))
     return parts, counts
@@ -685,7 +760,7 @@ class _ExactSums:
 
 
 def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
-    """Exact key p/r <= threshold, ties NEAR.
+    """Exact key p/r <= threshold, ties NEAR; r broadcasts against p.
 
     float(p/r) and float(threshold) are correctly rounded, and rounding is
     monotone, so only keys whose float equals the threshold's can be
@@ -694,7 +769,8 @@ def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
     key = p / r
     cut = float(min(threshold, 1))  # every key is at most 1/2; a tiny A's 1/A overflows a float
     near = key < cut
-    for t in np.flatnonzero(key == cut).tolist():
+    r = np.broadcast_to(r, p.shape)
+    for t in zip(*np.nonzero(key == cut)):
         near[t] = Fraction(int(p[t]), int(r[t])) <= threshold
     return near
 

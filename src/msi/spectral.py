@@ -14,9 +14,13 @@ This module owns every sine of a rational angle, on two paths that share
 no code. The array path (_sin_pi_ratio, _coefficients) serves the library:
 angles pi t / r with int64 t, r are reduced in integers before the one
 float division, so a fraction and all its unreduced forms give the same
-bits. The scalar path (_sin_pi, fejer_kernel_value, exp_sum_closed_form)
-reduces Fractions exactly and is the reference the tests hold the array
-path to; a float argument is taken at its exact binary value.
+bits. The decomposition's pair kernel calls it for one per-fraction table
+of sin and cos at pi (4N + 1) u and pi (2N + 1) u, takes each pair's
+x-sum numerators from that table by angle addition, and still reduces
+each pair key's denominator sin(pi p / r) exactly. The scalar path
+(_sin_pi, fejer_kernel_value, exp_sum_closed_form) reduces Fractions
+exactly and is the reference the tests hold the array path to; a float
+argument is taken at its exact binary value.
 """
 
 from __future__ import annotations

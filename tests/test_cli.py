@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import msi
+import msi.cli as cli
 import msi.integral as integral_mod
 from msi.cli import main
 from msi.verify import SUITES
@@ -238,7 +239,11 @@ def test_int64_guard_exit_code(capsys):
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+def test_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a property ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 2
     assert err.startswith("error: ") and "No such file or directory" in err

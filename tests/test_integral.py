@@ -650,7 +650,7 @@ class TestPairKernelOracle:
         def untouchable(*args, **kwargs):
             raise AssertionError("x-sums evaluated on no terms")
 
-        monkeypatch.setattr(integral_mod, "_x_sum_array", untouchable)
+        monkeypatch.setattr(integral_mod, "_x_sums", untouchable)
         rep = selberg_integral_decomposed(cfg)
         assert rep.pairs == {
             "fractions": 1,
@@ -686,6 +686,51 @@ class TestPairKernelOracle:
             cfg = IntegralConfig(n=60, h=2, g=random_rational_table(q, seed=q), cutoff=SupportCutoff.fixed(q), a=a)
             assert float(1 / Fraction(a)) in (1 / 7, 1 / 13)
             assert_matches_reference(cfg)
+
+    def test_no_near_shortcut_at_its_boundary(self, monkeypatch):
+        # Every key p/r has r <= Q**2 = 144, so only A > 144 may skip _near. At Q = 12 no key is
+        # below 1/132 = 1/11 - 1/12, so A = 132 (a tie) has NEAR pairs and the A near 144 have
+        # none; l | h gives fractions of weight zero
+        calls = []
+        near = integral_mod._near
+        monkeypatch.setattr(integral_mod, "_near", lambda *args: calls.append(1) or near(*args))
+        found_near = 0
+        for a in (132.0, math.nextafter(144.0, 0.0), 144.0, math.nextafter(144.0, math.inf)):
+            for n in (32, 97, 1000):
+                for h in (4, 6, 8):
+                    for g in (random_rational_table(12, seed=n + h), preset_table("mobius", 12)):
+                        calls.clear()
+                        cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.fixed(12), a=a)
+                        rep = assert_matches_reference(cfg)
+                        assert rep.pairs["zero_weight_fractions"] > 0
+                        assert bool(calls) == (a <= 144)
+                        found_near += rep.pairs["near_difference"]
+        assert found_near > 0
+
+    def test_near_pairs_at_a_large_a(self):
+        # 12**2 < A = 300 <= 24**2: the term pass routes by the exact test far above the small
+        # orders' Q**2, with fractions of weight zero beside the NEAR pairs
+        cfg = IntegralConfig(
+            n=256, h=4, g=preset_table("mobius-squared", 24), cutoff=SupportCutoff.fixed(24), a=300.0
+        )
+        rep = assert_matches_reference(cfg)
+        assert rep.pairs["near_difference"] > 0 and rep.pairs["zero_weight_fractions"] > 0
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 9, 10 ** 12])
+    def test_angle_addition_x_sums_at_large_n(self, n):
+        # every pair key in both modes and every diagonal 2u at Q = 16, against the exact closed form
+        num, den = farey_columns(16)
+        table = integral_mod._angle_table(num, den, n)
+        idx = np.array(np.tril_indices(num.size, -1))  # rows i > k
+        p, r, x = integral_mod._pair_x_sums(num, den, table, idx, n)
+        keys = [(Fraction(int(pk), int(rk)), xk) for pm, xm in zip(p, x) for pk, rk, xk in zip(pm, r, xm)]
+        diag = integral_mod._diagonal_x_sums(num, den, table, n)
+        keys += [(2 * Fraction(int(j), int(l)), xk) for j, l, xk in zip(num, den, diag)]
+        assert len(keys) == 2 * idx.shape[1] + num.size
+        for alpha, got in keys:
+            dist = min(alpha % 1, 1 - alpha % 1)
+            bound = min(n, 1 / (2 * dist)) if dist else n
+            assert abs(got - exp_sum_closed_form(alpha, n).real) <= 1e-15 * bound, (alpha, got)
 
 
 def carried_sums(terms, labels, parts, cut):
