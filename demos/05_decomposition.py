@@ -11,7 +11,6 @@ from msi import (
     IntegralConfig,
     SupportCutoff,
     exp_sum_closed_form,
-    far_part_bound_check,
     preset_table,
     selberg_integral_decomposed,
     selberg_integral_direct,
@@ -44,9 +43,9 @@ s = exp_sum_closed_form(alpha, cfg.n)
 print(f"\nsum of e({alpha} x) over x in (120, 240]: {s:.6f}, |sum| <= 1/(2||alpha||) = {1 / (2 * (3 / 7)):.4f}")
 
 # Well-spaced parts against the A*h yardstick (frozen constant)
-far = far_part_bound_check(cfg)
-print(f"\nA = {far.a:.1f}: |far parts| = {far.far_abs:.4f} <= {FAR_PART_BOUND_C} * A * h = {FAR_PART_BOUND_C * far.ah:.1f}")
-print(f"coefficient square-sum mass {far.coeff_square_sum:.4f}, harmonic factor {far.harmonic_factor:.2f}")
+far_abs = abs(rep.far_delta) + abs(rep.far_sigma)
+a = cfg.a_value
+print(f"\nA = {a:.1f}: |far parts| = {far_abs:.4f} <= {FAR_PART_BOUND_C} * A * h = {FAR_PART_BOUND_C * a * cfg.h:.1f}")
 
 # Nearby parts turn nonnegative once the threshold is tight enough
 # (every cosine x-sum is positive when N * key <= 1/8, i.e. A >= 8N):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Majorant experiment: can G*1 dominate the mean square of g*1?
 
-When |g| <= G pointwise on the shared support, the mean square of g*1
+When |g| <= G at every n of g's cut support, the mean square of g*1
 should stay within the one of G*1 plus the square-root-cancellation
 allowance N*h, up to factors smaller than any fixed power of N. The ratio
 j_f / (j_F + N*h) across doublings of N is the desk-scale readout.

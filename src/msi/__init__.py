@@ -36,7 +36,6 @@ from .integral import (
     IntegralConfig,
     ResourceBudgetError,
     diagonal_term,
-    far_part_bound_check,
     majorant_compare,
     selberg_integral_decomposed,
     selberg_integral_direct,
@@ -94,6 +93,5 @@ __all__ = [
     "selberg_integral_decomposed",
     "diagonal_term",
     "exp_sum_closed_form",
-    "far_part_bound_check",
     "majorant_compare",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 from .arith import FunctionTable, Rational, SupportCutoff, integer_scaled, preset_table
 from .farey import farey_columns, farey_count
 from .short_sums import FejerWindow
-from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio, coefficient_square_sum
+from .spectral import _coefficients, _ramanujan_ratios, _sin_pi_ratio
 
 PAIR_BUDGET = 10 ** 7
 MEAN_BITS = 96  # fixed-point bits of the float sweep's mean
@@ -107,10 +107,6 @@ class IntegralConfig:
         return cls(n=n, h=h, g=g, cutoff=cutoff, a=a, g_name=g_name)
 
     @property
-    def window(self) -> FejerWindow:
-        return FejerWindow(self.h)
-
-    @property
     def a_value(self) -> float:
         return self.a if self.a is not None else self.n * log(self.n)
 
@@ -128,23 +124,6 @@ class DecompositionReport:
     direct: float
     abs_gap: float
     pairs: dict = field(compare=False)  # PAIR_COUNTERS -> int
-
-
-@dataclass(frozen=True)
-class FarPartReport:
-    """Observed well-spaced parts against the A*h yardstick."""
-
-    far_delta: float
-    far_sigma: float
-    far_abs: float
-    a: float
-    h: int
-    ah: float
-    ratio_to_ah: float
-    coeff_square_sum: float
-    harmonic_factor: float
-    ramanujan_scale: float
-    lemma_majorant: float
 
 
 @dataclass(frozen=True)
@@ -595,12 +574,6 @@ def _pair_keys(num: np.ndarray, den: np.ndarray, idx: np.ndarray) -> tuple[np.nd
     return p, r
 
 
-def _pair_x_sums(num: np.ndarray, den: np.ndarray, table: np.ndarray, idx: np.ndarray, n: int):
-    """(p, r, X) of the pairs (u, v) = idx: keys as _pair_keys, and X at both keys (_x_sums)."""
-    p, r = _pair_keys(num, den, idx)
-    return p, r, _x_sums(_pair_numerators(table, idx), p, r, n)
-
-
 def _pair_numerators(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sin(pi (4n+1) alpha) - sin(pi (2n+1) alpha) per mode (rows delta, sigma) and pair.
 
@@ -672,8 +645,8 @@ def _pair_sums(
     carry = _ExactSums(4)
     parts = (0.0, 0.0, 0.0, 0.0)
     for idx, last in _pair_rows(w_num.size):
-        p, r, x = _pair_x_sums(w_num, w_den, table, idx, n)
-        terms = w_val[idx[0]] * w_val[idx[1]] * x
+        p, r = _pair_keys(w_num, w_den, idx)
+        terms = w_val[idx[0]] * w_val[idx[1]] * _x_sums(_pair_numerators(table, idx), p, r, n)
         near = _near(p, r, threshold) if any_near else np.zeros(p.shape, dtype=bool)
         if not last:
             carry.add(terms, np.where(near, _NEAR_PARTS, _FAR_PARTS))
@@ -775,53 +748,19 @@ def _near(p: np.ndarray, r: np.ndarray, threshold: Fraction) -> np.ndarray:
     return near
 
 
-def far_part_bound_check(cfg: IntegralConfig) -> FarPartReport:
-    """Well-spaced parts against A*h, with the successive majorants alongside.
-
-    Reports |far_delta| + |far_sigma|, its ratio to A*h, and the majorant
-    scale * A * (sum over 1 < l <= Q of the reduced coefficient square sum)
-    * harmonic factor, where scale is the squared worst l*|R_l| and the
-    harmonic factor 2*H(K) counts the K enumerated fractions.
-    """
-    rep = selberg_integral_decomposed(cfg)
-    far_abs = abs(rep.far_delta) + abs(rep.far_sigma)
-    a_val = cfg.a_value
-    ah = a_val * cfg.h
-    q_max = cfg.cutoff.q
-    w = cfg.window
-    sq = fsum(coefficient_square_sum(ell, w, reduced_only=True) for ell in range(2, q_max + 1))
-    k = rep.pairs["fractions"]
-    harmonic = 2.0 * fsum(1.0 / i for i in range(1, k + 1)) if k else 0.0
-    ratios = _ramanujan_ratios(cfg.g, q_max)[1:]  # ell >= 2
-    scale = max((abs(a / b) * ell for ell, (a, b) in enumerate(ratios, 2)), default=0.0)
-    return FarPartReport(
-        far_delta=rep.far_delta,
-        far_sigma=rep.far_sigma,
-        far_abs=far_abs,
-        a=a_val,
-        h=cfg.h,
-        ah=ah,
-        ratio_to_ah=far_abs / ah,
-        coeff_square_sum=sq,
-        harmonic_factor=harmonic,
-        ramanujan_scale=scale * scale,
-        lemma_majorant=scale * scale * a_val * sq * harmonic,
-    )
-
-
 def majorant_compare(cfg: IntegralConfig, g_major: FunctionTable) -> MajorantReport:
     """Both mean squares for g and its pointwise majorant G, plus the ratio.
 
-    Requires |g(n)| <= G(n) wherever both are nonzero within the cutoff
+    Requires |g(n)| <= G(n) at every n the sweep reads g at, n up to
+    min(g.max_n, cutoff.limit(2n + h)), with G zero past its table
     (checked exactly); the first offending n is reported on violation. The
     ratio j_f / (j_F + n*h) is the quantity whose growth in n stays below
     every fixed power when the majorant relation holds.
     """
-    limit = cfg.cutoff.limit(2 * cfg.n + cfg.h)
-    top = min(cfg.g.max_n, g_major.max_n, limit)
+    top = min(cfg.g.max_n, cfg.cutoff.limit(2 * cfg.n + cfg.h))
     for n_ in range(1, top + 1):
-        gv, Gv = cfg.g[n_], g_major[n_]
-        if gv != 0 and Gv != 0 and abs(gv) > Gv:
+        gv, Gv = cfg.g[n_], g_major.get(n_)
+        if abs(gv) > Gv:
             raise ValueError(
                 f"majorant violated at n={n_}: |g({n_})| = {abs(gv)} > G({n_}) = {Gv}"
             )

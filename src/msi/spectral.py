@@ -93,20 +93,17 @@ def _square_sum(j: np.ndarray, q: int, h) -> np.ndarray:
     return np.sum(np.where(2 * j == q, 1.0, 2.0) * c * c, axis=-1)
 
 
-def coefficient_square_sum(q: int, w: FejerWindow, reduced_only: bool = False) -> float:
-    """Sum of c_{j,q}**2 over j = 1..q-1, optionally only gcd(j,q) = 1.
+def coefficient_square_sum(q: int, w: FejerWindow) -> float:
+    """Sum of c_{j,q}**2 over j = 1..q-1.
 
-    The full-range sum is the Parseval mass of chi_tilde_q over one period
+    It is the Parseval mass of chi_tilde_q over one period
     (up to the factor 4 from cosine pairing) and is bounded by a constant
     times min(1, h/q). The kernel is symmetric, c_{q-j,q} = c_{j,q}, so only
     j <= q/2 is evaluated.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    j = np.arange(1, q // 2 + 1)
-    if reduced_only:
-        j = j[np.gcd(j, q) == 1]
-    return float(_square_sum(j, q, w.h))
+    return float(_square_sum(np.arange(1, q // 2 + 1), q, w.h))
 
 
 def coefficient_square_sums(q_max: int, hs: Sequence[int]) -> np.ndarray:

@@ -629,10 +629,12 @@ def check_exp_sum_bound() -> PropertyReport:
 
 
 def check_taylor_positivity() -> PropertyReport:
-    """J5: with N * (largest NEAR key) <= 1/8, every NEAR cosine x-sum is positive."""
+    """J5: with N * (largest NEAR key) <= 1/8, every NEAR cosine x-sum is positive.
+
+    A NEAR key with N * key > 1/8, which A = 8N rules out, counts as a failure.
+    """
     instances = 0
-    positive_failures = 0
-    found_near = 0
+    failures = 0
     for n in range(8, 19):
         for q in (10, 11, 12):
             num, den = farey_columns(q)
@@ -641,14 +643,12 @@ def check_taylor_positivity() -> PropertyReport:
             for mode in ("difference", "wrapped_sum"):
                 part = spaced_pair_partition(num, den, a, mode)
                 for i, k in part.near:
-                    found_near += 1
                     key = pair_key(fr[i], fr[k], mode)
-                    assert n * key <= Fraction(1, 8)
                     instances += 1
-                    if exp_sum_closed_form(key, n).real <= 0.0:
-                        positive_failures += 1
-    rep = _exact_report("J5", instances, positive_failures)
-    rep.passed = rep.passed and found_near > 0
+                    if n * key > Fraction(1, 8) or exp_sum_closed_form(key, n).real <= 0.0:
+                        failures += 1
+    rep = _exact_report("J5", instances, failures)
+    rep.passed = rep.passed and instances > 0
     return rep
 
 

@@ -323,6 +323,15 @@ def test_sweep_bad_rule_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("g, G, n", [("mobius", "delta1", 2), ("unit", "mobius-squared", 4)])
+def test_sweep_majorant_violation_is_usage_error(capsys, g, G, n):
+    # G(n) = 0 where g(n) != 0, so G is no majorant
+    code, out, err = run(capsys, "sweep", "--n-values", "1024,4096", "--g", g, "--G", G)
+    assert code == 2
+    assert out == ""
+    assert f"n={n}:" in err
+
+
 def test_sweep_bad_cutoff_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--n-values", "256", "--cutoff", "bogus", "--out", str(out)]) == 2
@@ -379,8 +388,9 @@ def test_integral_power_cutoff_refuses_q(capsys):
 def test_report_types_live_in_their_modules():
     # trimmed from the package namespace; each stays importable where it is defined
     from msi.farey import PairPartition
-    from msi.integral import DecompositionReport, FarPartReport, MajorantReport
+    from msi.integral import DecompositionReport, MajorantReport
 
-    for cls in (PairPartition, DecompositionReport, FarPartReport, MajorantReport):
+    for cls in (PairPartition, DecompositionReport, MajorantReport):
         assert cls.__name__ not in msi.__all__
         assert not hasattr(msi, cls.__name__)
+    assert not hasattr(integral_mod, "FarPartReport")

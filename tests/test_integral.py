@@ -20,7 +20,6 @@ from msi.integral import (
     IntegralConfig,
     ResourceBudgetError,
     diagonal_term,
-    far_part_bound_check,
     majorant_compare,
     selberg_integral_decomposed,
     selberg_integral_direct,
@@ -722,7 +721,8 @@ class TestPairKernelOracle:
         num, den = farey_columns(16)
         table = integral_mod._angle_table(num, den, n)
         idx = np.array(np.tril_indices(num.size, -1))  # rows i > k
-        p, r, x = integral_mod._pair_x_sums(num, den, table, idx, n)
+        p, r = integral_mod._pair_keys(num, den, idx)
+        x = integral_mod._x_sums(integral_mod._pair_numerators(table, idx), p, r, n)
         keys = [(Fraction(int(pk), int(rk)), xk) for pm, xm in zip(p, x) for pk, rk, xk in zip(pm, r, xm)]
         diag = integral_mod._diagonal_x_sums(num, den, table, n)
         keys += [(2 * Fraction(int(j), int(l)), xk) for j, l, xk in zip(num, den, diag)]
@@ -822,49 +822,20 @@ class TestExactSums:
 
 
 class TestFarPartReport:
+    """The well-spaced parts of DecompositionReport read exactly 0.0 where nothing is FAR."""
+
     def test_delta_everything_zero(self):
         cfg = IntegralConfig(n=16, h=2, g=preset_table("delta1", 4), cutoff=SupportCutoff.fixed(4))
-        rep = far_part_bound_check(cfg)
-        assert rep.far_abs == 0.0
+        rep = selberg_integral_decomposed(cfg)
+        assert rep.far_delta == rep.far_sigma == 0.0
 
     def test_far_empty_when_threshold_covers_all_keys(self):
-        # 1/A = 1/2 is at least every pair key, so nothing is well-spaced
+        # 1/A = 1/2 is at least every pair key, so every pair is NEAR
         cfg = IntegralConfig(n=20, h=2, g=preset_table("unit", 8), cutoff=SupportCutoff.fixed(8), a=2.0)
-        rep = far_part_bound_check(cfg)
-        assert rep.far_delta == rep.far_sigma == rep.far_abs == 0.0
-
-    def test_fields_are_consistent(self):
-        cfg = IntegralConfig(n=33, h=2, g=preset_table("mobius", 9), cutoff=SupportCutoff.fixed(9), a=33.0)
-        rep = far_part_bound_check(cfg)
-        assert rep.far_abs == abs(rep.far_delta) + abs(rep.far_sigma)
-        assert rep.ah == 33.0 * 2
-        assert math.isclose(rep.ratio_to_ah, rep.far_abs / rep.ah)
-        assert rep.lemma_majorant >= 0.0
-
-    def test_majorant_fields_equal_per_ell_formulas(self):
-        """The table-built fields against per-ell R_l and the scalar kernel reference."""
-        for n, h, q, g in (
-            (60, 4, 12, random_rational_table(12, seed=1)),
-            (200, 8, 30, random_rational_table(30, seed=2)),
-            (97, 2, 7, preset_table("mobius", 7)),
-        ):
-            cfg = IntegralConfig(n=n, h=h, g=g, cutoff=SupportCutoff.fixed(q))
-            rep = far_part_bound_check(cfg)
-            w = FejerWindow(h)
-            sq = math.fsum(
-                (fejer_kernel_value(Fraction(j, ell), w) / ell) ** 2
-                for ell in range(2, q + 1)
-                for j in range(1, ell)
-                if math.gcd(j, ell) == 1
-            )
-            scale = max(abs(float(ramanujan_coefficient(g, ell, q))) * ell for ell in range(2, q + 1))
-            k = farey_columns(q)[0].size
-            harmonic = 2.0 * math.fsum(1.0 / i for i in range(1, k + 1))
-            a = cfg.a_value
-            assert math.isclose(rep.coeff_square_sum, sq, rel_tol=1e-12)
-            assert math.isclose(rep.ramanujan_scale, scale * scale, rel_tol=1e-12)
-            assert math.isclose(rep.harmonic_factor, harmonic, rel_tol=1e-12)
-            assert math.isclose(rep.lemma_majorant, scale * scale * a * sq * harmonic, rel_tol=1e-12)
+        rep = assert_matches_reference(cfg)
+        pairs = rep.pairs["fractions"] * (rep.pairs["fractions"] - 1) // 2
+        assert rep.pairs["near_difference"] == rep.pairs["near_wrapped_sum"] == pairs > 0
+        assert rep.far_delta == rep.far_sigma == 0.0
 
 
 class TestMajorantCompare:
@@ -883,13 +854,14 @@ class TestMajorantCompare:
         with pytest.raises(ValueError, match="n=1"):
             majorant_compare(cfg, bigg)
 
-    def test_zero_support_points_are_ignored(self):
-        # |g| > G where G = 0 is outside the supports intersection
+    def test_zero_majorant_points_are_refused(self):
+        # |g| <= G must hold where G = 0 too, and G reads as 0 past its table
         g = preset_table("mobius", 8)  # g(2) = -1
-        bigg = preset_table("delta1", 8)  # G(2) = 0
         cfg = IntegralConfig(n=32, h=2, g=g, cutoff=SupportCutoff.fixed(8), g_name="mobius")
-        rep = majorant_compare(cfg, bigg)
-        assert rep.ratio >= 0.0
+        with pytest.raises(ValueError, match="n=2:"):
+            majorant_compare(cfg, preset_table("delta1", 8))  # G(2) = 0
+        with pytest.raises(ValueError, match="n=5:"):
+            majorant_compare(cfg, preset_table("mobius-squared", 4))
 
     def test_report_only_unit_majorant(self):
         # cautionary case: G = 1 is a valid but trivial majorant; its own mean square swamps g's

@@ -176,11 +176,6 @@ class TestCoefficientSquareSum:
     def test_q3_h2(self):
         assert math.isclose(coefficient_square_sum(3, W2), 2 / 9, rel_tol=1e-14)
 
-    def test_reduced_at_most_full(self):
-        for q in (6, 12, 30):
-            w = FejerWindow(4)
-            assert coefficient_square_sum(q, w, reduced_only=True) <= coefficient_square_sum(q, w) + 1e-18
-
     def test_parseval_small(self):
         # period mean of chi^2 equals a quarter of the full square sum
         for q in (3, 7, 12, 25):
